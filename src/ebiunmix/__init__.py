@@ -5,8 +5,6 @@ separation-quality metrics."""
 
 from .dsp import (
     BiquadCoefficients,
-    FilterSpec,
-    FramePlan,
     SignalMatrix,
     apply_filter,
     decimate,
@@ -18,9 +16,7 @@ from .fastica import (
     ConvergenceReport,
     IcaConfig,
     IcaModel,
-    contrast_eval,
     fit_fastica,
-    reconstruct_mixing,
     separate,
 )
 from .linalg import (
@@ -57,8 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiquadCoefficients",
     "ConvergenceReport",
-    "FilterSpec",
-    "FramePlan",
     "FrameResult",
     "IcaConfig",
     "IcaModel",
@@ -74,7 +68,6 @@ __all__ = [
     "amari_index",
     "apply_filter",
     "center_columns",
-    "contrast_eval",
     "covariance",
     "decimate",
     "default_scenario",
@@ -93,7 +86,6 @@ __all__ = [
     "process_frame",
     "project",
     "read_csv",
-    "reconstruct_mixing",
     "run_pipeline",
     "separate",
     "svd",

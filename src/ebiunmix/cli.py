@@ -6,7 +6,9 @@ eval          score estimated components against ground-truth sources
 filter-design print biquad coefficients and a frequency-response table
 
 Config precedence for `run`: command-line flags > --config JSON file >
-built-in defaults. The ICA seed falls back to the EBI_UNMIX_SEED
+built-in defaults. The config file takes the keys of the report's "config"
+block (PipelineConfig fields, with IcaConfig fields under "ica"); any other
+key is an error. The ICA seed falls back to the EBI_UNMIX_SEED
 environment variable when neither flag nor config file provides one.
 """
 
@@ -14,11 +16,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import SignalMatrix, design_butterworth_lp2, frequency_response
+from .errors import InvalidInputError
 from .fastica import CONTRASTS, IcaConfig
 from .metrics import match_components
 from .pipeline import (
@@ -96,36 +100,40 @@ def _resolve_seed(flag_value, file_value) -> int:
     return 0
 
 
+def _known_keys(section, cls, where: str) -> dict:
+    """Copy of a config-file section; rejects keys that are not fields of cls."""
+    if not isinstance(section, dict):
+        raise InvalidInputError(f"config {where} must be a JSON object")
+    unknown = sorted(set(section) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidInputError(
+            f"unknown key(s) in config {where}: {', '.join(map(repr, unknown))}"
+        )
+    return dict(section)
+
+
 def _build_config(args) -> PipelineConfig:
     file_cfg: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    file_ica = file_cfg.get("ica", {})
+    top = _known_keys(file_cfg, PipelineConfig, "file")
+    ica = _known_keys(top.pop("ica", {}), IcaConfig, "section 'ica'")
 
-    def pick(flag, file_key, default, section=None):
-        if flag is not None:
-            return flag
-        source = file_ica if section == "ica" else file_cfg
-        return source.get(file_key, default)
+    def given(**flags):
+        return {key: value for key, value in flags.items() if value is not None}
 
-    ica = IcaConfig(
-        contrast=pick(args.contrast, "contrast", "logcosh", "ica"),
-        max_iterations=pick(args.max_iter, "max_iterations", 200, "ica"),
-        tolerance=pick(args.tol, "tolerance", 1e-6, "ica"),
-        orthogonalization=file_ica.get("orthogonalization", "symmetric"),
-        seed=_resolve_seed(args.seed, file_ica.get("seed")),
-    )
-    return PipelineConfig(
-        frame_len=pick(args.frame_len, "frame_len", 10000),
-        decimation_factor=pick(args.decimate, "decimation_factor", 10),
-        filter_order=file_cfg.get("filter_order", 2),
-        cutoff_hz=pick(args.cutoff_hz, "cutoff_hz", 40.0),
-        filter_position=pick(args.filter_position, "filter_position", "after_decimate"),
-        retained_components=pick(args.components, "retained_components", 2),
-        ica=ica,
-        mode=pick(args.mode, "mode", "pca_then_ica"),
-    )
+    ica.update(given(contrast=args.contrast, max_iterations=args.max_iter, tolerance=args.tol))
+    ica["seed"] = _resolve_seed(args.seed, ica.get("seed"))
+    top.update(given(
+        frame_len=args.frame_len,
+        decimation_factor=args.decimate,
+        cutoff_hz=args.cutoff_hz,
+        filter_position=args.filter_position,
+        retained_components=args.components,
+        mode=args.mode,
+    ))
+    return PipelineConfig(**top, ica=IcaConfig(**ica))
 
 
 def _with_time_column(signal: SignalMatrix) -> SignalMatrix:

@@ -6,7 +6,6 @@ be processed concurrently by the caller.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,42 +52,6 @@ class SignalMatrix:
 
 
 @dataclass(frozen=True)
-class FramePlan:
-    """Fixed-length framing: frame k covers samples [k*hop, k*hop + frame_len)."""
-
-    frame_len: int
-    hop: int = 0  # 0 means non-overlapping (hop = frame_len)
-
-    def __post_init__(self):
-        if self.frame_len < 1:
-            raise InvalidInputError(f"frame_len must be >= 1, got {self.frame_len}")
-        hop = self.hop or self.frame_len
-        if hop < 1:
-            raise InvalidInputError(f"hop must be >= 1, got {hop}")
-        object.__setattr__(self, "hop", hop)
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Low-pass Butterworth design parameters (order fixed at 2)."""
-
-    cutoff_hz: float
-    order: int = 2
-    kind: str = "low-pass"
-
-    def __post_init__(self):
-        if self.order != 2:
-            raise FilterDesignError(f"only order 2 is supported, got {self.order}")
-        if self.kind != "low-pass":
-            raise FilterDesignError(f"only low-pass is supported, got {self.kind!r}")
-        if not (self.cutoff_hz > 0):
-            raise FilterDesignError(f"cutoff_hz must be > 0, got {self.cutoff_hz}")
-
-    def design(self, sample_rate_hz: float) -> "BiquadCoefficients":
-        return design_butterworth_lp2(self.cutoff_hz, sample_rate_hz)
-
-
-@dataclass(frozen=True)
 class BiquadCoefficients:
     """Normalized difference-equation coefficients (a0 = 1).
 
@@ -116,31 +79,21 @@ class BiquadCoefficients:
         return (self.b0 + self.b1 + self.b2) / (1.0 + self.a1 + self.a2)
 
 
-def frame_signal(signal: SignalMatrix, plan: FramePlan) -> list[SignalMatrix]:
-    """Split a signal into fixed-length frames; a trailing partial frame is dropped.
+def frame_signal(signal: SignalMatrix, frame_len: int) -> list[SignalMatrix]:
+    """Split a signal into back-to-back frames; a trailing partial frame is dropped.
 
-    If frame_len exceeds the signal length, returns an empty list and emits a
-    UserWarning rather than raising.
+    Returns an empty list when frame_len exceeds the signal length.
     """
-    n = signal.n_samples
-    if plan.frame_len > n:
-        warnings.warn(
-            f"frame_len {plan.frame_len} exceeds signal length {n}; no frames produced",
-            stacklevel=2,
+    if frame_len < 1:
+        raise InvalidInputError(f"frame_len must be >= 1, got {frame_len}")
+    return [
+        SignalMatrix(
+            signal.samples[start : start + frame_len],
+            signal.sample_rate_hz,
+            signal.channel_labels,
         )
-        return []
-    frames = []
-    start = 0
-    while start + plan.frame_len <= n:
-        frames.append(
-            SignalMatrix(
-                signal.samples[start : start + plan.frame_len],
-                signal.sample_rate_hz,
-                signal.channel_labels,
-            )
-        )
-        start += plan.hop
-    return frames
+        for start in range(0, signal.n_samples - frame_len + 1, frame_len)
+    ]
 
 
 def decimate(signal: SignalMatrix, factor: int) -> SignalMatrix:
@@ -194,14 +147,8 @@ def frequency_response(coeffs: BiquadCoefficients, freqs_hz, sample_rate_hz: flo
     return num / den
 
 
-def apply_filter(
-    signal: SignalMatrix, coeffs: BiquadCoefficients, zero_phase: bool = False
-) -> SignalMatrix:
+def apply_filter(signal: SignalMatrix, coeffs: BiquadCoefficients) -> SignalMatrix:
     """Run the biquad difference equation over each channel, zero initial state.
-
-    zero_phase=True runs the filter forward then backward (squared magnitude
-    response, no phase shift) for experimentation; the default single causal
-    pass is what the processing pipeline uses.
 
     Raises:
         FilterStabilityError: coefficients with poles on/outside the unit circle.
@@ -211,8 +158,6 @@ def apply_filter(
             f"unstable biquad rejected (pole magnitudes {coeffs.pole_magnitudes()})"
         )
     y = _biquad_pass(signal.samples, coeffs)
-    if zero_phase:
-        y = _biquad_pass(y[::-1], coeffs)[::-1]
     return SignalMatrix(y, signal.sample_rate_hz, signal.channel_labels)
 
 

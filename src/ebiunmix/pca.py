@@ -5,8 +5,7 @@ is the cheap direction when n >> p; the SVD route exists in linalg and is
 cross-checked against this one in the test suite.
 
 The default retained dimension is 2 (one cardiac and one respiratory target
-source); callers can override it directly or via an explained-variance
-threshold.
+source); callers can override it.
 """
 
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ from .errors import (
 from .linalg import center_columns, check_matrix, covariance, sym_eigen
 
 DEFAULT_RETAINED = 2
-DEFAULT_VARIANCE_THRESHOLD = 0.99
 
 # Eigenvalues this far below zero (relative to the largest) are floating-point
 # noise and are clamped to 0; anything more negative indicates a broken input.
@@ -66,14 +64,6 @@ class PcaModel:
     def n_channels(self) -> int:
         return self.loadings.shape[0]
 
-    def to_dict(self) -> dict:
-        return {
-            "means": self.means.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "loadings": self.loadings.tolist(),
-            "retained": self.retained,
-        }
-
 
 def _samples(data) -> np.ndarray:
     if isinstance(data, SignalMatrix):
@@ -81,16 +71,12 @@ def _samples(data) -> np.ndarray:
     return check_matrix(data, "data")
 
 
-def fit_pca(data, retained: int | None = None, variance_threshold: float | None = None) -> PcaModel:
+def fit_pca(data, retained: int | None = None) -> PcaModel:
     """Fit principal components from the sample covariance of `data`.
 
     Args:
         data: SignalMatrix or (n x p) array, n >= p.
-        retained: dimension to keep; wins over variance_threshold.
-        variance_threshold: keep the smallest k whose cumulative explained
-            variance reaches this fraction.
-
-    Defaults to retained = min(2, p) when neither is given.
+        retained: dimension to keep; defaults to min(2, p).
     """
     x = _samples(data)
     n, p = x.shape
@@ -109,16 +95,6 @@ def fit_pca(data, retained: int | None = None, variance_threshold: float | None 
         if not (1 <= retained <= p):
             raise DimensionError(f"retained must be in [1, {p}], got {retained}")
         k = int(retained)
-    elif variance_threshold is not None:
-        if not (0.0 < variance_threshold <= 1.0):
-            raise InvalidInputError(f"variance_threshold must be in (0, 1], got {variance_threshold}")
-        total = float(lam.sum())
-        if total <= 0.0:
-            k = 1
-        else:
-            ratios = np.cumsum(lam) / total
-            k = int(np.searchsorted(ratios, variance_threshold - 1e-15) + 1)
-            k = min(k, p)
     else:
         k = min(DEFAULT_RETAINED, p)
     return PcaModel(means=means, loadings=eig.eigenvectors, eigenvalues=lam, retained=k)

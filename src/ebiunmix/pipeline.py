@@ -1,13 +1,14 @@
 """End-to-end processing pipeline and CSV I/O.
 
-Per frame: decimate -> low-pass filter (order configurable relative to
-decimation) -> PCA whitening with dimension reduction -> FastICA ->
+Per frame: decimate -> low-pass filter (before or after decimation, as
+configured) -> PCA whitening with dimension reduction -> FastICA ->
 canonically ordered components. When ground-truth sources are supplied they
 are framed and decimated identically and each frame's components are scored
 against them.
 
-A stage failure inside one frame is recorded in the report (stage name plus
-message) and the remaining frames still run.
+A stage failure inside one frame (any of the package's ValueError or
+RuntimeError family) is recorded in the report (stage name plus message) and
+the remaining frames still run; other exceptions propagate.
 
 CSV format (also written by the synth generator):
 
@@ -22,18 +23,11 @@ row holds channel labels; every following row is one sample.
 
 import array
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dsp import (
-    FramePlan,
-    SignalMatrix,
-    apply_filter,
-    decimate,
-    design_butterworth_lp2,
-    frame_signal,
-)
+from .dsp import SignalMatrix, apply_filter, decimate, design_butterworth_lp2, frame_signal
 from .errors import CsvFormatError, DimensionError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
 from .metrics import match_components
@@ -47,7 +41,6 @@ MODES = ("pca_only", "ica_only", "pca_then_ica")
 class PipelineConfig:
     frame_len: int = 10000
     decimation_factor: int = 10
-    filter_order: int = 2
     cutoff_hz: float = 40.0
     filter_position: str = "after_decimate"
     retained_components: int = 2
@@ -61,8 +54,6 @@ class PipelineConfig:
             raise InvalidInputError(
                 f"decimation_factor must be >= 1, got {self.decimation_factor}"
             )
-        if self.filter_order != 2:
-            raise InvalidInputError(f"filter_order is fixed at 2, got {self.filter_order}")
         if not (self.cutoff_hz > 0):
             raise InvalidInputError(f"cutoff_hz must be > 0, got {self.cutoff_hz}")
         if self.filter_position not in FILTER_POSITIONS:
@@ -75,18 +66,6 @@ class PipelineConfig:
             )
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "frame_len": self.frame_len,
-            "decimation_factor": self.decimation_factor,
-            "filter_order": self.filter_order,
-            "cutoff_hz": self.cutoff_hz,
-            "filter_position": self.filter_position,
-            "retained_components": self.retained_components,
-            "ica": self.ica.to_dict(),
-            "mode": self.mode,
-        }
 
 
 @dataclass
@@ -109,21 +88,6 @@ class FrameResult:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "stage": self.stage,
-            "error": self.error,
-            "eigenvalues": self.eigenvalues,
-            "explained_variance": self.explained_variance,
-            "retained": self.retained,
-            "W": self.W,
-            "A_est": self.A_est,
-            "convergence": self.convergence,
-            "matching": self.matching,
-            "seconds": self.seconds,
-        }
-
 
 @dataclass
 class RunReport:
@@ -139,7 +103,7 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "frames": [f.to_dict() for f in self.frames],
+            "frames": [asdict(f) for f in self.frames],
             "warnings": list(self.warnings),
             "n_frames": len(self.frames),
             "total_seconds": self.total_seconds,
@@ -160,10 +124,9 @@ def run_pipeline(
             f"retained_components={config.retained_components}"
         )
     t_start = time.perf_counter()
-    report = RunReport(config=config.to_dict(), frames=[])
+    report = RunReport(config=asdict(config), frames=[])
 
-    plan = FramePlan(config.frame_len)
-    frames = frame_signal(signal, plan)
+    frames = frame_signal(signal, config.frame_len)
     if not frames:
         report.warnings.append(
             f"frame_len {config.frame_len} exceeds signal length {signal.n_samples}; nothing to do"
@@ -174,7 +137,7 @@ def run_pipeline(
             raise DimensionError(
                 f"truth has {truth.n_samples} samples, signal has {signal.n_samples}"
             )
-        truth_frames = list(frame_signal(truth, plan))
+        truth_frames = frame_signal(truth, config.frame_len)
 
     components = []
     for idx, frame in enumerate(frames):
@@ -195,7 +158,8 @@ def process_frame(
     """Run the per-frame stages; never raises for stage failures.
 
     Returns (components, result) where components is None when a stage
-    failed; the result then carries the stage name and error message.
+    raised a ValueError or RuntimeError; the result then carries the stage
+    name and error message.
     """
     result = FrameResult(index=frame_index)
     t0 = time.perf_counter()
@@ -242,7 +206,7 @@ def process_frame(
         if truth_processed is not None:
             stage = "match"
             result.matching = match_components(out.samples, truth_processed.samples).to_dict()
-    except Exception as exc:  # deliberate: one bad frame must not kill the run
+    except (ValueError, RuntimeError) as exc:  # the package's error family
         result.stage = stage
         result.error = f"{type(exc).__name__}: {exc}"
         result.seconds = time.perf_counter() - t0
@@ -288,6 +252,7 @@ def read_csv(path) -> SignalMatrix:
     n_rows = 0
     n_cols = 0
     last_line = 0
+    rate_line = 0
 
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -300,6 +265,8 @@ def read_csv(path) -> SignalMatrix:
                 if "=" in body:
                     key, _, value = body.partition("=")
                     meta[key.strip()] = value.strip()
+                    if key.strip() == "rate_hz":
+                        rate_line = line_no
                 continue
             cells = [c.strip() for c in line.split(",")]
             if labels is None:
@@ -327,9 +294,11 @@ def read_csv(path) -> SignalMatrix:
     try:
         rate = float(meta["rate_hz"])
     except ValueError:
+        rate = float("nan")
+    if not (rate > 0):
         raise CsvFormatError(
-            f"rate_hz is not numeric: {meta['rate_hz']!r}", line_number=1
-        ) from None
+            f"rate_hz must be a number > 0, got {meta['rate_hz']!r}", line_number=rate_line
+        )
     if labels is None:
         raise CsvFormatError("missing header row", line_number=last_line)
     if n_rows == 0:

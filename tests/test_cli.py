@@ -113,6 +113,41 @@ class TestRunCommand:
         assert report["config"]["ica"]["tolerance"] == 1e-5
         assert report["n_frames"] == 2
 
+    def test_report_config_fed_back_rebuilds_same_config(self, tmp_path):
+        mixture_path, _ = synth_files(tmp_path)
+        first = tmp_path / "first"
+        code = run_cli(
+            "run",
+            "--input", str(mixture_path),
+            "--out-dir", str(first),
+            "--frame-len", "12500",
+            "--cutoff-hz", "30",
+            "--contrast", "pow3",
+            "--seed", "4",
+        )
+        assert code == 0
+        config = json.loads((first / "demo_mixture_report.json").read_text())["config"]
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps(config))
+        second = tmp_path / "second"
+        code = run_cli("run", "--input", str(mixture_path), "--config", str(cfg),
+                       "--out-dir", str(second))
+        assert code == 0
+        assert json.loads((second / "demo_mixture_report.json").read_text())["config"] == config
+
+    @pytest.mark.parametrize("file_config,key", [
+        ({"filter_order": 2}, "filter_order"),
+        ({"frame-len": 5000}, "frame-len"),
+        ({"ica": {"max_iter": 5}}, "max_iter"),
+    ], ids=["filter_order", "frame-len", "ica.max_iter"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, file_config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_config))
+        code = run_cli("run", "--input", str(tmp_path / "unread.csv"), "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: unknown key" in err and repr(key) in err
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         mixture_path, _ = synth_files(tmp_path)
         monkeypatch.setenv("EBI_UNMIX_SEED", "31")

@@ -62,11 +62,6 @@ class TestFitPca:
         assert model.n_channels == 4
         assert model.retained == 2
 
-    def test_retained_by_variance_threshold(self):
-        data, _ = collinear_data()
-        model = fit_pca(data, variance_threshold=0.99)
-        assert model.retained == 1
-
     def test_more_channels_than_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
             fit_pca(np.ones((2, 3)))

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ebiunmix.dsp import SignalMatrix
-from ebiunmix.errors import CsvFormatError, DimensionError
+from ebiunmix import pipeline
+from ebiunmix.dsp import SignalMatrix, frame_signal
+from ebiunmix.errors import CsvFormatError, DegenerateComponentError, DimensionError
 from ebiunmix.fastica import IcaConfig
 from ebiunmix.pipeline import (
     PipelineConfig,
@@ -120,10 +121,31 @@ class TestRunPipeline:
 
     def test_short_signal_warns_and_produces_nothing(self):
         sig = SignalMatrix(np.zeros((10, 4)), 1000.0)
-        with pytest.warns(UserWarning):
-            components, report = run_pipeline(sig, PipelineConfig())
+        components, report = run_pipeline(sig, PipelineConfig())
         assert components == []
-        assert report.warnings
+        assert report.frames == []
+        assert len(report.warnings) == 1
+        assert "frame_len 10000 exceeds signal length 10" in report.warnings[0]
+
+    def test_package_errors_recorded_per_frame(self, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateComponentError("unmixing update became rank-deficient", component=1)
+
+        monkeypatch.setattr(pipeline, "fit_fastica", degenerate)
+        mixture, _ = default_scenario(n=25000, seed=1)
+        components, report = run_pipeline(mixture, PipelineConfig())
+        assert components == [None, None]
+        assert [f.stage for f in report.frames] == ["ica", "ica"]
+        assert all(f.error.startswith("DegenerateComponentError:") for f in report.frames)
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("fit_pca() got an unexpected keyword argument")
+
+        monkeypatch.setattr(pipeline, "fit_pca", broken)
+        mixture, _ = default_scenario(n=25000, seed=1)
+        with pytest.raises(TypeError):
+            run_pipeline(mixture, PipelineConfig())
 
     def test_report_json_serializable_with_expected_keys(self):
         mixture, truth = default_scenario(n=25000, seed=5)
@@ -151,9 +173,7 @@ class TestDeterminismAndFrameIndependence:
         config = PipelineConfig()
         _, report = run_pipeline(mixture, config)
 
-        from ebiunmix.dsp import FramePlan, frame_signal
-
-        frames = frame_signal(mixture, FramePlan(config.frame_len))
+        frames = frame_signal(mixture, config.frame_len)
         # process frame 1 before frame 0; results must match the in-order run
         for idx in (1, 0):
             comp, result = process_frame(frames[idx], config, idx)
@@ -205,6 +225,15 @@ class TestCsvIO:
         with pytest.raises(CsvFormatError) as err:
             read_csv(path)
         assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("rate", ["abc", "0", "-5", "nan"])
+    def test_bad_rate_rejected_at_its_line(self, tmp_path, rate):
+        path = tmp_path / "in.csv"
+        path.write_text(f"# source=lab\n\n# rate_hz={rate}\nch1,ch2\n1.0,2.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert err.value.line_number == 3
+        assert repr(rate) in str(err.value)
 
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "in.csv"
