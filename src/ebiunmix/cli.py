@@ -89,11 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(flag_value, file_value) -> int:
+def _resolve_seed(flag_value, file_value):
     if flag_value is not None:
         return int(flag_value)
     if file_value is not None:
-        return int(file_value)
+        return file_value
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         return int(env)

@@ -3,6 +3,10 @@
 Operates on SignalMatrix values: immutable (n samples x p channels) blocks
 with a sample rate and channel labels. All operations are pure; frames may
 be processed concurrently by the caller.
+
+apply_filter evaluates the biquad block by block from zero state, not sample
+by sample. At the pipeline's settings (40 Hz at 100 Hz or 1 kHz) it matches
+the difference equation to about 1e-15 relative to the output's peak.
 """
 
 import math
@@ -14,6 +18,10 @@ from .errors import FilterDesignError, FilterStabilityError, InvalidInputError
 from .linalg import check_matrix
 
 SQRT2 = math.sqrt(2.0)
+# Samples per block of _biquad_pass. Each sample costs a _BLOCK-long dot
+# product and each block one Python-level carry step; 32 and 128 were both
+# slower than 64 on 10^3-sample calls, and the error does not grow with it.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -162,16 +170,27 @@ def apply_filter(signal: SignalMatrix, coeffs: BiquadCoefficients) -> SignalMatr
 
 
 def _biquad_pass(x: np.ndarray, c: BiquadCoefficients) -> np.ndarray:
-    y = np.empty_like(x)
-    p = x.shape[1]
-    x1 = np.zeros(p)
-    x2 = np.zeros(p)
-    y1 = np.zeros(p)
-    y2 = np.zeros(p)
-    for t in range(x.shape[0]):
-        xt = x[t]
-        yt = c.b0 * xt + c.b1 * x1 + c.b2 * x2 - c.a1 * y1 - c.a2 * y2
-        y[t] = yt
-        x2, x1 = x1, xt
-        y2, y1 = y1, yt
-    return y
+    """Zero-state biquad over the columns of x, _BLOCK samples at a time.
+
+    The numerator is three shifted array operations. The recursive part of
+    each block is its zero-state response, a matmul with the lower-triangular
+    Toeplitz matrix of the first _BLOCK taps h of 1 / (1 + a1 z^-1 + a2 z^-2),
+    plus the response to the last two outputs of the previous block, which
+    are h[t + 1] and -a2 h[t] per unit of y[-1] and y[-2].
+    """
+    n, p = x.shape
+    m = -(-n // _BLOCK)
+    v = np.zeros((m * _BLOCK, p))
+    v[:n] = c.b0 * x
+    v[1:n] += c.b1 * x[:-1]
+    v[2:n] += c.b2 * x[:-2]
+    h = np.empty(_BLOCK + 1)
+    h[0], h[1] = 1.0, -c.a1
+    for i in range(2, _BLOCK + 1):
+        h[i] = -c.a1 * h[i - 1] - c.a2 * h[i - 2]
+    toeplitz = np.tril(h[np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))])
+    y = np.matmul(toeplitz, v.reshape(m, _BLOCK, p))
+    g1, g2 = h[1:, None], -c.a2 * h[:-1, None]
+    for k in range(1, m):
+        y[k] += g1 * y[k - 1, -1] + g2 * y[k - 1, -2]
+    return y.reshape(m * _BLOCK, p)[:n]

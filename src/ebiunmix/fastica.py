@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     NonWhiteInputError,
 )
-from .linalg import check_matrix, sym_eigen
+from .linalg import check_matrix, check_number, sym_eigen
 
 # E[log cosh X] for X ~ N(0, 1); the test suite re-derives this by quadrature.
 GAUSSIAN_LOGCOSH_MEAN = 0.3745672074914380
@@ -50,6 +50,9 @@ class IcaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_number(self.max_iterations, "max_iterations", integral=True)
+        check_number(self.seed, "seed", integral=True)
+        check_number(self.tolerance, "tolerance")
         if self.contrast not in CONTRASTS:
             raise InvalidInputError(f"contrast must be one of {CONTRASTS}, got {self.contrast!r}")
         if self.orthogonalization not in ORTHOGONALIZATIONS:

@@ -13,6 +13,7 @@ normalized so its largest-magnitude entry is positive, making outputs
 deterministic across runs.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,14 @@ def check_matrix(data, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
+
+
+def check_number(value, name: str, integral: bool = False) -> None:
+    """Reject a bool, or a value that is not a real (integral=True: an integer) number."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if integral else "a real number"
+        raise InvalidInputError(f"{name} must be {expected}, got {value!r}")
 
 
 def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ row holds channel labels; every following row is one sample.
 """
 
 import array
+import itertools
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -30,6 +31,7 @@ import numpy as np
 from .dsp import SignalMatrix, apply_filter, decimate, design_butterworth_lp2, frame_signal
 from .errors import CsvFormatError, DimensionError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
+from .linalg import check_number
 from .metrics import match_components
 from .pca import explained_variance, fit_pca, project, whiten
 
@@ -48,6 +50,9 @@ class PipelineConfig:
     mode: str = "pca_then_ica"
 
     def __post_init__(self):
+        for name in ("frame_len", "decimation_factor", "retained_components"):
+            check_number(getattr(self, name), name, integral=True)
+        check_number(self.cutoff_hz, "cutoff_hz")
         if self.frame_len < 1:
             raise InvalidInputError(f"frame_len must be >= 1, got {self.frame_len}")
         if self.decimation_factor < 1:
@@ -244,7 +249,7 @@ def read_csv(path) -> SignalMatrix:
 
     Raises:
         CsvFormatError: missing rate_hz, missing header, ragged rows, or
-            non-numeric cells; carries the 1-based line number.
+            non-numeric or non-finite cells; carries the 1-based line number.
     """
     meta: dict[str, str] = {}
     labels: tuple | None = None
@@ -305,7 +310,21 @@ def read_csv(path) -> SignalMatrix:
         raise CsvFormatError("no data rows", line_number=last_line)
 
     samples = np.frombuffer(values, dtype=float).reshape(n_rows, n_cols)
+    finite = np.isfinite(samples)
+    if not finite.all():
+        line_no, cells = _data_row(path, int(np.argmin(finite.all(axis=1))))
+        bad = next(c for c in cells if not np.isfinite(float(c)))
+        raise CsvFormatError(f"non-finite cell {bad!r}", line_number=line_no)
     return SignalMatrix(samples, rate, labels)
+
+
+def _data_row(path, row: int) -> tuple[int, list[str]]:
+    """1-based line number and cells of the row-th (0-based) data row of a CSV."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = ((line_no, raw.strip()) for line_no, raw in enumerate(fh, start=1))
+        rows = ((line_no, line) for line_no, line in lines if line and not line.startswith("#"))
+        line_no, line = next(itertools.islice(rows, row + 1, None))  # the header comes first
+    return line_no, [c.strip() for c in line.split(",")]
 
 
 def _is_numeric(cell: str) -> bool:

@@ -3,7 +3,8 @@
 These deliberately take a different computational route from the package:
 covariance by explicit double loops, eigenvalues from characteristic
 polynomial roots, determinants by cofactor expansion, filter responses from
-the analog prototype, spectra straight from the FFT.
+the analog prototype, filter outputs from the difference equation one sample
+at a time, spectra straight from the FFT.
 """
 
 import numpy as np
@@ -60,6 +61,24 @@ def analog_lp2_response(freqs_hz, cutoff_hz, sample_rate_hz):
     z = np.exp(2j * np.pi * np.asarray(freqs_hz, dtype=float) / sample_rate_hz)
     s = (z - 1.0) / (z + 1.0) / k
     return np.abs(1.0 / (s * s + np.sqrt(2.0) * s + 1.0))
+
+
+def biquad_recursion(x, c):
+    """Zero-state biquad difference equation, one sample at a time, per column."""
+    x = np.asarray(x, dtype=float)
+    y = np.empty_like(x)
+    p = x.shape[1]
+    x1 = np.zeros(p)
+    x2 = np.zeros(p)
+    y1 = np.zeros(p)
+    y2 = np.zeros(p)
+    for t in range(x.shape[0]):
+        xt = x[t]
+        yt = c.b0 * xt + c.b1 * x1 + c.b2 * x2 - c.a1 * y1 - c.a2 * y2
+        y[t] = yt
+        x2, x1 = x1, xt
+        y2, y1 = y1, yt
+    return y
 
 
 def periodogram(x, rate_hz):

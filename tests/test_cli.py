@@ -148,6 +148,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "error: unknown key" in err and repr(key) in err
 
+    @pytest.mark.parametrize("file_config,message", [
+        ({"frame_len": 5000.0}, "frame_len must be an integer, got 5000.0"),
+        ({"cutoff_hz": "40"}, "cutoff_hz must be a real number, got '40'"),
+        ({"ica": {"max_iterations": 200.0}}, "max_iterations must be an integer, got 200.0"),
+    ], ids=["frame_len-float", "cutoff_hz-str", "ica.max_iterations-float"])
+    def test_wrong_config_type_rejected(self, tmp_path, capsys, file_config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_config))
+        code = run_cli("run", "--input", str(tmp_path / "unread.csv"), "--config", str(cfg))
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         mixture_path, _ = synth_files(tmp_path)
         monkeypatch.setenv("EBI_UNMIX_SEED", "31")

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from ebiunmix.dsp import (
+    _BLOCK,
     BiquadCoefficients,
     SignalMatrix,
     apply_filter,
@@ -13,7 +14,7 @@ from ebiunmix.dsp import (
 )
 from ebiunmix.errors import FilterDesignError, FilterStabilityError, InvalidInputError
 
-from oracles import analog_lp2_response, periodogram
+from oracles import analog_lp2_response, biquad_recursion, periodogram
 
 
 def make_signal(samples, rate=1000.0):
@@ -191,3 +192,45 @@ class TestApplyFilter:
         unstable = BiquadCoefficients(b0=1.0, b1=0.0, b2=0.0, a1=0.0, a2=1.5)
         with pytest.raises(FilterStabilityError):
             apply_filter(make_signal(np.zeros((10, 1))), unstable)
+
+
+class TestApplyFilterOracles:
+    """apply_filter runs block by block; these pin it to the per-sample recursion.
+
+    Errors are max |y - ref| relative to max |ref|. At the pipeline's settings
+    (40 Hz at 100 Hz and at 1 kHz) the bound is 1e-12; both routes land near
+    1e-15. At a cutoff of 5e-4 of the rate the poles sit close to 1, the
+    recursion's impulse response grows large before it decays, and the block
+    route loses more to cancellation (about 1e-11 against 1e-12), so the bound
+    there is 1e-10.
+    """
+
+    SETTINGS = [(40.0, 100.0, 1e-12), (40.0, 1000.0, 1e-12), (0.5, 1000.0, 1e-10)]
+    LENGTHS = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1000, 10001]
+
+    @staticmethod
+    def relative_error(y, ref):
+        return np.abs(y - ref).max() / max(np.abs(ref).max(), np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("cutoff,rate,tol", SETTINGS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_matches_recursion_and_lfilter(self, cutoff, rate, tol, n, channels):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        rng = np.random.default_rng(n * 10 + channels)
+        dc = 10.0 * np.arange(1, channels + 1)  # per-channel baselines, as in real EBI
+        x = rng.standard_normal((n, channels)) + dc
+        coeffs = design_butterworth_lp2(cutoff, rate)
+        y = apply_filter(make_signal(x, rate), coeffs).samples
+        assert y.shape == x.shape
+        assert self.relative_error(y, biquad_recursion(x, coeffs)) <= tol
+        b, a = [coeffs.b0, coeffs.b1, coeffs.b2], [1.0, coeffs.a1, coeffs.a2]
+        assert self.relative_error(y, lfilter(b, a, x, axis=0)) <= tol
+
+    def test_leaves_input_unchanged(self, rng):
+        x = rng.standard_normal((3 * _BLOCK + 5, 4)) + 100.0
+        before = x.copy()
+        signal = make_signal(x)
+        apply_filter(signal, design_butterworth_lp2(40.0, 1000.0))
+        assert np.array_equal(x, before)
+        assert np.array_equal(signal.samples, before)

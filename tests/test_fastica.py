@@ -191,6 +191,19 @@ class TestFitFastica:
         with pytest.raises(InvalidInputError):
             IcaConfig(orthogonalization="qr")
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_iterations", 200.0), ("max_iterations", True), ("max_iterations", "200"),
+        ("seed", 1.0), ("seed", False), ("seed", None),
+        ("tolerance", "1e-6"), ("tolerance", True), ("tolerance", None),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            IcaConfig(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        config = IcaConfig(max_iterations=np.int64(50), tolerance=np.float32(1e-4), seed=np.int32(3))
+        assert config.max_iterations == 50
+
 
 class TestSeparate:
     def test_identity_unmixing(self, rng):

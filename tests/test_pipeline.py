@@ -7,7 +7,12 @@ import pytest
 
 from ebiunmix import pipeline
 from ebiunmix.dsp import SignalMatrix, frame_signal
-from ebiunmix.errors import CsvFormatError, DegenerateComponentError, DimensionError
+from ebiunmix.errors import (
+    CsvFormatError,
+    DegenerateComponentError,
+    DimensionError,
+    InvalidInputError,
+)
 from ebiunmix.fastica import IcaConfig
 from ebiunmix.pipeline import (
     PipelineConfig,
@@ -113,6 +118,19 @@ class TestRunPipeline:
         short = SignalMatrix(truth.samples[:-1], truth.sample_rate_hz, truth.channel_labels)
         with pytest.raises(DimensionError):
             run_pipeline(mixture, PipelineConfig(), short)
+
+    @pytest.mark.parametrize("field,value", [
+        ("frame_len", 5000.0), ("frame_len", True), ("decimation_factor", "10"),
+        ("retained_components", 2.0), ("cutoff_hz", "40"), ("cutoff_hz", False),
+        ("cutoff_hz", None),
+    ])
+    def test_wrong_config_type_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            PipelineConfig(**{field: value})
+
+    def test_config_accepts_int_cutoff_and_numpy_ints(self):
+        config = PipelineConfig(frame_len=np.int64(5000), cutoff_hz=40)
+        assert config.frame_len == 5000 and config.cutoff_hz == 40
 
     def test_too_few_channels_rejected(self):
         sig = SignalMatrix(np.random.default_rng(0).standard_normal((100, 1)), 100.0)
@@ -225,6 +243,22 @@ class TestCsvIO:
         with pytest.raises(CsvFormatError) as err:
             read_csv(path)
         assert err.value.line_number == 4
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_rejected_with_line_number(self, tmp_path, cell):
+        path = tmp_path / "in.csv"
+        path.write_text(f"# rate_hz=100\nch1,ch2\n1.0,2.0\n{cell},4.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert err.value.line_number == 4
+        assert repr(cell) in str(err.value)
+
+    def test_non_finite_cell_located_past_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("# rate_hz=100\n\nch1,ch2\n1.0,2.0\n# note\n\n3.0,-inf\n5.0,6.0\n")
+        with pytest.raises(CsvFormatError) as err:
+            read_csv(path)
+        assert err.value.line_number == 7
 
     @pytest.mark.parametrize("rate", ["abc", "0", "-5", "nan"])
     def test_bad_rate_rejected_at_its_line(self, tmp_path, rate):
