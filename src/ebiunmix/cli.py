@@ -159,9 +159,8 @@ def _write_periodogram(signal: SignalMatrix, path) -> None:
     freqs = np.fft.rfftfreq(n, d=1.0 / signal.sample_rate_hz)
     power = np.abs(np.fft.rfft(signal.samples, axis=0)) ** 2 / n
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("freq_hz," + ",".join(signal.channel_labels) + "\n")
-        for i, f in enumerate(freqs):
-            fh.write(f"{f:.17g}," + ",".join(f"{v:.17g}" for v in power[i]) + "\n")
+        np.savetxt(fh, np.column_stack([freqs, power]), fmt="%.17g", delimiter=",",
+                   header=",".join(("freq_hz",) + signal.channel_labels), comments="")
 
 
 def _cmd_run(args) -> int:
@@ -199,13 +198,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     mixture, truth = default_scenario(
         n=args.n,
         rate_hz=args.rate,
-        seed=seed,
+        seed=_resolve_seed(args.seed, None),
         noise_sigma=args.noise_sigma,
         correlation_injection=args.correlation_injection,
         cardiac=SourceSpec.cardiac(args.cardiac_hz, jitter_pct=args.jitter_pct),

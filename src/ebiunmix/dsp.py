@@ -81,7 +81,8 @@ class BiquadCoefficients:
         return np.abs(np.roots([1.0, self.a1, self.a2]))
 
     def is_stable(self) -> bool:
-        return bool(np.all(self.pole_magnitudes() < 1.0))
+        """Both poles strictly inside the unit circle (the stability triangle)."""
+        return bool(abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2)
 
     def dc_gain(self) -> float:
         return (self.b0 + self.b1 + self.b2) / (1.0 + self.a1 + self.a2)

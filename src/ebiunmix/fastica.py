@@ -140,9 +140,12 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     """W <- (W W^T)^(-1/2) W via spectral decomposition.
 
     An ill-conditioned update can leave round-off of order eps * cond after
-    one pass, so the transform is repeated until the rows are orthonormal to
-    near machine precision (a second pass always suffices: the input to it is
-    already close to orthonormal).
+    one pass, so the transform is repeated, at most three times, until the
+    rows are orthonormal to 1e-12; after the third pass W is returned as it
+    is. A second pass does not always suffice: on the first six frames of a
+    seed-0 2e5-sample recording in ica_only mode, 201 of 893 calls took one
+    pass, 236 two and 456 all three. With PCA reduction to two components
+    (the default config) every call on that recording took one pass.
     """
     k = w.shape[0]
     for _ in range(3):

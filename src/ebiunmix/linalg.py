@@ -13,6 +13,7 @@ normalized so its largest-magnitude entry is positive, making outputs
 deterministic across runs.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -59,12 +60,8 @@ def check_number(value, name: str, integral: bool = False) -> None:
 
 def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each column is positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return v
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * np.where(peak < 0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -141,9 +138,12 @@ def covariance(centered) -> np.ndarray:
 def sym_eigen(m) -> SymEigen:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps rotate every off-diagonal pair until all off-diagonal magnitudes
-    fall below JACOBI_OFF_DIAG_TOL times the Frobenius norm of the input,
-    with a hard cap of JACOBI_MAX_SWEEPS sweeps.
+    Each sweep visits every pair i < j whose off-diagonal entry exceeds the
+    threshold and applies the plane rotation J = [[c, s], [-s, c]] that
+    zeroes it: A <- J^T A J on columns and rows i, j, and V <- V J.
+    Sweeps stop once every off-diagonal magnitude is at most
+    JACOBI_OFF_DIAG_TOL times the Frobenius norm of the input, with a hard
+    cap of JACOBI_MAX_SWEEPS sweeps.
 
     Raises:
         InvalidInputError: non-square or asymmetric input.
@@ -159,54 +159,32 @@ def sym_eigen(m) -> SymEigen:
 
     a = 0.5 * (a + a.T)
     v = np.eye(p)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return SymEigen(np.zeros(p), v)
-    thresh = JACOBI_OFF_DIAG_TOL * norm
-
-    others = np.arange(p)
-    sweeps = 0
-    while True:
-        off = float(np.abs(a - np.diag(np.diag(a))).max())
-        if off < thresh:
+    thresh = JACOBI_OFF_DIAG_TOL * float(np.linalg.norm(a))
+    upper = np.triu_indices(p, 1)
+    for sweeps in range(JACOBI_MAX_SWEEPS + 1):
+        off = float(np.abs(a[upper]).max(initial=0.0))
+        if off <= thresh:
             break
-        if sweeps >= JACOBI_MAX_SWEEPS:
+        if sweeps == JACOBI_MAX_SWEEPS:
             raise JacobiConvergenceError(
                 f"off-diagonal mass {off:.3e} above threshold {thresh:.3e} "
                 f"after {sweeps} sweeps",
                 sweeps=sweeps,
             )
-        sweeps += 1
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = a[i, j]
-                if abs(aij) <= thresh:
-                    continue
-                theta = (a[j, j] - a[i, i]) / (2.0 * aij)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # two-sided rotation in the (i, j) plane
-                mask = (others != i) & (others != j)
-                aki = a[mask, i].copy()
-                akj = a[mask, j].copy()
-                a[mask, i] = c * aki - s * akj
-                a[i, mask] = a[mask, i]
-                a[mask, j] = s * aki + c * akj
-                a[j, mask] = a[mask, j]
-                aii, ajj = a[i, i], a[j, j]
-                a[i, i] = aii - t * aij
-                a[j, j] = ajj + t * aij
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                vki = v[:, i].copy()
-                v[:, i] = c * vki - s * v[:, j]
-                v[:, j] = s * vki + c * v[:, j]
+        for i, j in zip(*upper):
+            if abs(a[i, j]) <= thresh:
+                continue
+            theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            rot = np.array([[c, s], [-s, c]])
+            pair = [i, j]
+            a[:, pair] = a[:, pair] @ rot
+            a[pair] = rot.T @ a[pair]
+            v[:, pair] = v[:, pair] @ rot
 
-    vals = np.diag(a).copy()
+    vals = np.diag(a)
     order = np.argsort(-vals, kind="stable")
     return SymEigen(vals[order], _sign_normalize_columns(v[:, order]))
 
@@ -227,8 +205,7 @@ def svd(data) -> SvdResult:
     if n < p:
         raise DimensionError(f"svd requires rows >= cols, got {y.shape}")
 
-    gram = y.T @ y
-    eig = sym_eigen(0.5 * (gram + gram.T))
+    eig = sym_eigen(y.T @ y)
     d = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
     v = eig.eigenvectors
 

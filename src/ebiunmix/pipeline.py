@@ -238,10 +238,8 @@ def _preprocess(frame: SignalMatrix, config: PipelineConfig) -> SignalMatrix:
 def write_csv(signal: SignalMatrix, path) -> None:
     """Write a SignalMatrix; floats use %.17g so values round-trip exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# rate_hz={signal.sample_rate_hz!r}\n")
-        fh.write(",".join(signal.channel_labels) + "\n")
-        for row in signal.samples:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        header = f"# rate_hz={signal.sample_rate_hz!r}\n" + ",".join(signal.channel_labels)
+        np.savetxt(fh, signal.samples, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_csv(path) -> SignalMatrix:

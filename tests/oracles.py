@@ -4,7 +4,7 @@ These deliberately take a different computational route from the package:
 covariance by explicit double loops, eigenvalues from characteristic
 polynomial roots, determinants by cofactor expansion, filter responses from
 the analog prototype, filter outputs from the difference equation one sample
-at a time, spectra straight from the FFT.
+at a time, spectra straight from the FFT, CSV text one formatted row at a time.
 """
 
 import numpy as np
@@ -79,6 +79,14 @@ def biquad_recursion(x, c):
         x2, x1 = x1, xt
         y2, y1 = y1, yt
     return y
+
+
+def csv_text(header_lines, rows):
+    """CSV text built one row at a time: header lines, then %.17g cells joined by commas."""
+    lines = [line + "\n" for line in header_lines]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
 
 
 def periodogram(x, rate_hz):

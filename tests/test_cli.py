@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from ebiunmix.cli import main
-from ebiunmix.pipeline import read_csv
+from ebiunmix.cli import _write_periodogram, main
+from ebiunmix.dsp import SignalMatrix
+from ebiunmix.pipeline import read_csv, write_csv
+
+from oracles import csv_text, periodogram
 
 
 def run_cli(*argv):
@@ -29,6 +32,41 @@ class TestSynthCommand:
         assert mixture.samples.shape == (25000, 4)
         assert truth.channel_labels == ("cardiac", "respiratory")
         assert mixture.sample_rate_hz == 1000.0
+
+    def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
+        assert run_cli("synth", "--out-dir", str(tmp_path / "flag"), "--seed", "31") == 0
+        monkeypatch.setenv("EBI_UNMIX_SEED", "31")
+        assert run_cli("synth", "--out-dir", str(tmp_path / "env")) == 0
+        for name in ("ebi_synth_mixture.csv", "ebi_synth_truth.csv"):
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
+class TestWriterBytes:
+    """Both CSV writers produce exactly the bytes of a row-by-row %.17g formatter."""
+
+    LABELS = ("ch1", "Δz_µΩ", "ch3")
+
+    def test_write_csv(self, tmp_path):
+        samples = np.array([
+            [-0.0, 5e-324, 1e308],
+            [-1e308, 1.2345678901234567e-300, -2.5e-7],
+            [0.1, -3.0, 123456789.0],
+        ])
+        path = tmp_path / "signal.csv"
+        write_csv(SignalMatrix(samples, 1000.0, self.LABELS), path)
+        expected = csv_text(["# rate_hz=1000.0", ",".join(self.LABELS)], samples)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_write_periodogram(self, tmp_path, rng):
+        # power spans subnormal (1e-160 squared), ordinary and 1e300-scale values
+        samples = rng.standard_normal((101, 3)) * np.array([1e-160, 1.0, 1e150])
+        path = tmp_path / "periodogram.csv"
+        _write_periodogram(SignalMatrix(samples, 100.0, self.LABELS), path)
+        freqs, power = periodogram(samples, 100.0)
+        expected = csv_text(
+            [",".join(("freq_hz",) + self.LABELS)], np.column_stack([freqs, power])
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestRunCommand:
@@ -188,9 +226,6 @@ class TestEvalCommand:
         )
         # score the frame-0 components against the same slice of the truth
         truth = read_csv(truth_path)
-        from ebiunmix.dsp import SignalMatrix
-        from ebiunmix.pipeline import write_csv
-
         truth_frame = SignalMatrix(
             truth.samples[:10000][::10], 100.0, truth.channel_labels
         )
@@ -211,9 +246,6 @@ class TestEvalCommand:
 
     def test_eval_prints_to_stdout_without_out(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        from ebiunmix.dsp import SignalMatrix
-        from ebiunmix.pipeline import write_csv
-
         x = rng.standard_normal((500, 2))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

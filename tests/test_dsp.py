@@ -128,6 +128,23 @@ class TestButterworthDesign:
         coeffs = design_butterworth_lp2(cutoff, rate)
         assert np.all(coeffs.pole_magnitudes() < 1.0)
 
+    def test_stability_triangle_matches_pole_roots(self):
+        grid = np.linspace(-2.5, 2.5, 101)
+        for a1 in grid:
+            for a2 in grid:
+                if min(abs(abs(a2) - 1.0), abs(abs(a1) - (1.0 + a2))) < 1e-6:
+                    continue  # on the boundary np.roots' round-off decides
+                coeffs = BiquadCoefficients(1.0, 0.0, 0.0, a1, a2)
+                poles_inside = bool(np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0))
+                assert coeffs.is_stable() == poles_inside, (a1, a2)
+
+    @pytest.mark.parametrize("a2", [-0.9, -0.25, 0.0, 0.3, 0.999])
+    def test_pole_on_unit_circle_is_unstable(self, a2):
+        for a1 in (1.0 + a2, -(1.0 + a2)):  # a pole at -1 or at +1
+            assert not BiquadCoefficients(1.0, 0.0, 0.0, a1, a2).is_stable()
+        for a1 in (-1.5, 0.0, 1.5):  # a2 = 1: complex poles of modulus 1
+            assert not BiquadCoefficients(1.0, 0.0, 0.0, a1, 1.0).is_stable()
+
     def test_matches_analog_prototype_oracle(self):
         cutoff, rate = 40.0, 1000.0
         coeffs = design_butterworth_lp2(cutoff, rate)

@@ -1,11 +1,15 @@
 """Tests for the dense matrix primitives."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ebiunmix import linalg
 from ebiunmix.errors import (
     DimensionError,
     InsufficientDataError,
     InvalidInputError,
+    JacobiConvergenceError,
 )
 from ebiunmix.linalg import center_columns, covariance, svd, sym_eigen
 
@@ -132,6 +136,36 @@ class TestSymEigen:
         for j in range(2):
             col = eig.eigenvectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
+
+    @given(
+        p=st.integers(1, 6),
+        exponent=st.floats(-8.0, 8.0),
+        repeated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_eigh(self, p, exponent, repeated, seed):
+        rng = np.random.default_rng(seed)
+        if repeated:  # Q^T D Q with integer D: repeated (and zero) eigenvalues
+            q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            m = q.T @ np.diag(rng.integers(-2, 3, p).astype(float)) @ q
+        else:
+            m = rng.standard_normal((p, p))
+        m = 0.5 * (m + m.T) * 10.0**exponent
+        norm = np.linalg.norm(m)
+        eig = sym_eigen(m)
+        vals, vecs = eig.eigenvalues, eig.eigenvectors
+        assert np.abs(vals - np.linalg.eigh(m)[0][::-1]).max() <= 1e-13 * norm
+        assert np.linalg.norm(m @ vecs - vecs * vals) <= 1e-11 * norm
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(p)) <= 1e-13
+        assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(p)] > 0)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_sweep_cap_reported(self, monkeypatch, cap):
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
+        m = np.random.default_rng(7).standard_normal((5, 5))
+        with pytest.raises(JacobiConvergenceError) as excinfo:
+            sym_eigen(m + m.T)
+        assert excinfo.value.sweeps == cap
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
