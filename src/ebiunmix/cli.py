@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +222,7 @@ def _cmd_eval(args) -> int:
     components = _drop_time_column(read_csv(args.components))
     truth = _drop_time_column(read_csv(args.truth))
     report = match_components(components.samples, truth.samples)
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["estimated_labels"] = list(components.channel_labels)
     payload["truth_labels"] = list(truth.channel_labels)
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -5,9 +5,9 @@ update
 
     w+ = E{x g(w.x)} - E{g'(w.x)} w
 
-with either symmetric decorrelation of all rows after every update (the
-default; all components are treated equally) or deflation (one component at
-a time, Gram-Schmidt against those already found).
+applied to all rows at once, each step followed by symmetric decorrelation
+W <- (W W^T)^(-1/2) W, so every component is treated equally (Hyvarinen
+1999, "Fast and robust fixed-point algorithms for ICA").
 
 The usual ICA sign/permutation ambiguity is canonicalized after
 convergence: components are ordered by descending non-Gaussianity score
@@ -34,7 +34,6 @@ from .linalg import check_matrix, check_number, sym_eigen
 GAUSSIAN_LOGCOSH_MEAN = 0.3745672074914380
 
 CONTRASTS = ("logcosh", "pow3")
-ORTHOGONALIZATIONS = ("symmetric", "deflation")
 
 _WHITENESS_TOL = 1e-3
 _SKEWNESS_TOL = 1e-3
@@ -46,7 +45,6 @@ class IcaConfig:
     contrast: str = "logcosh"
     max_iterations: int = 200
     tolerance: float = 1e-6
-    orthogonalization: str = "symmetric"
     seed: int = 0
 
     def __post_init__(self):
@@ -55,11 +53,6 @@ class IcaConfig:
         check_number(self.tolerance, "tolerance")
         if self.contrast not in CONTRASTS:
             raise InvalidInputError(f"contrast must be one of {CONTRASTS}, got {self.contrast!r}")
-        if self.orthogonalization not in ORTHOGONALIZATIONS:
-            raise InvalidInputError(
-                f"orthogonalization must be one of {ORTHOGONALIZATIONS}, "
-                f"got {self.orthogonalization!r}"
-            )
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (self.tolerance > 0):
@@ -74,14 +67,6 @@ class ConvergenceReport:
     final_delta: float
     converged: bool
     per_iteration_deltas: tuple = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations_used": self.iterations_used,
-            "final_delta": self.final_delta,
-            "converged": self.converged,
-            "per_iteration_deltas": list(self.per_iteration_deltas),
-        }
 
 
 @dataclass(frozen=True)
@@ -142,10 +127,9 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     An ill-conditioned update can leave round-off of order eps * cond after
     one pass, so the transform is repeated, at most three times, until the
     rows are orthonormal to 1e-12; after the third pass W is returned as it
-    is. A second pass does not always suffice: on the first six frames of a
-    seed-0 2e5-sample recording in ica_only mode, 201 of 893 calls took one
-    pass, 236 two and 456 all three. With PCA reduction to two components
-    (the default config) every call on that recording took one pass.
+    is. At full rank (ica_only) a second pass does not always suffice, and
+    many calls take all three; with PCA reduction to two components (the
+    default config) one pass is the rule.
     """
     k = w.shape[0]
     for _ in range(3):
@@ -182,25 +166,39 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
 
     Args:
         white: (n x k) matrix with identity sample covariance (checked).
-        config: contrast, tolerance, iteration cap, orthogonalization, seed.
+        config: contrast, tolerance, iteration cap, seed.
         dewhitening: optional (k x p) transform back to channel space; when
             given, the model's mixing_estimate is expressed in that space.
 
     Non-convergence is not an error: the model is returned with
-    convergence.converged = False so the caller can report it.
+    convergence.converged = False so the caller can report it. An update
+    that loses rank ends the iteration early the same way, with the last
+    orthonormal W; only a rank-deficient random start raises.
     """
     x = check_matrix(white, "white")
     _check_white(x)
     n, k = x.shape
 
     rng = np.random.default_rng(config.seed)
-    w0 = _symmetric_decorrelate(rng.standard_normal((k, k)))
-
-    if config.orthogonalization == "symmetric":
-        w, report = _fit_symmetric(x, w0, config)
-    else:
-        w, report = _fit_deflation(x, w0, config)
-
+    w = _symmetric_decorrelate(rng.standard_normal((k, k)))
+    deltas = []
+    for _ in range(config.max_iterations):
+        g, g_prime = contrast_eval(config.contrast, x @ w.T)
+        try:
+            w_new = _symmetric_decorrelate((g.T @ x) / n - g_prime.mean(axis=0)[:, None] * w)
+        except DegenerateComponentError:
+            break  # keep the last orthonormal w; the report says not converged
+        deltas.append(float(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))).max()))
+        w = w_new
+        if deltas[-1] < config.tolerance:
+            break
+    final = deltas[-1] if deltas else 1.0  # 1.0: the first update already lost rank
+    report = ConvergenceReport(
+        iterations_used=len(deltas),
+        final_delta=final,
+        converged=final < config.tolerance,
+        per_iteration_deltas=tuple(deltas),
+    )
     w = _canonicalize(x, w)
 
     if dewhitening is None:
@@ -213,84 +211,16 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
     return IcaModel(unmixing=w, mixing_estimate=mixing, convergence=report)
 
 
-def _update(x: np.ndarray, w: np.ndarray, contrast: str) -> np.ndarray:
-    """One fixed-point step for every row of w at once."""
-    n = x.shape[0]
-    g, g_prime = contrast_eval(contrast, x @ w.T)
-    return (g.T @ x) / n - g_prime.mean(axis=0)[:, None] * w
-
-
-def _fit_symmetric(x, w, config) -> tuple[np.ndarray, ConvergenceReport]:
-    deltas = []
-    for _ in range(config.max_iterations):
-        w_new = _symmetric_decorrelate(_update(x, w, config.contrast))
-        delta = float(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))).max())
-        deltas.append(delta)
-        w = w_new
-        if delta < config.tolerance:
-            break
-    return w, ConvergenceReport(
-        iterations_used=len(deltas),
-        final_delta=deltas[-1],
-        converged=deltas[-1] < config.tolerance,
-        per_iteration_deltas=tuple(deltas),
-    )
-
-
-def _fit_deflation(x, w0, config) -> tuple[np.ndarray, ConvergenceReport]:
-    k = w0.shape[0]
-    n = x.shape[0]
-    w = np.zeros((k, k))
-    deltas = []
-    finals = []
-    for comp in range(k):
-        wc = w0[comp].copy()
-        for _ in range(config.max_iterations):
-            g, g_prime = contrast_eval(config.contrast, x @ wc)
-            wc_new = (x.T @ g) / n - g_prime.mean() * wc
-            # Gram-Schmidt against components already extracted
-            for prev in range(comp):
-                wc_new -= (wc_new @ w[prev]) * w[prev]
-            nrm = float(np.linalg.norm(wc_new))
-            if nrm <= _DECORRELATION_EIGENVALUE_FLOOR:
-                raise DegenerateComponentError(
-                    f"deflation update vanished for component {comp}", component=comp
-                )
-            wc_new /= nrm
-            delta = float(abs(1.0 - abs(wc_new @ wc)))
-            deltas.append(delta)
-            wc = wc_new
-            if delta < config.tolerance:
-                break
-        finals.append(deltas[-1])
-        w[comp] = wc
-    final = max(finals)
-    return w, ConvergenceReport(
-        iterations_used=len(deltas),
-        final_delta=final,
-        converged=final < config.tolerance,
-        per_iteration_deltas=tuple(deltas),
-    )
-
-
 def _canonicalize(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Fix component order and signs (see module docstring)."""
     s = x @ w.T
     score = _logcosh(s).mean(axis=0) - GAUSSIAN_LOGCOSH_MEAN
     order = np.argsort(-score, kind="stable")
-    w = w[order]
     s = s[:, order]
-    for i in range(w.shape[0]):
-        col = s[:, i]
-        var = float(np.mean(col * col))
-        skew = float(np.mean(col**3)) / var**1.5 if var > 0 else 0.0
-        if abs(skew) >= _SKEWNESS_TOL:
-            flip = skew < 0
-        else:
-            flip = col[int(np.argmax(np.abs(col)))] < 0
-        if flip:
-            w[i] = -w[i]
-    return w
+    skew = np.mean(s**3, axis=0) / np.mean(s * s, axis=0) ** 1.5
+    peak = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
+    flip = np.where(np.abs(skew) >= _SKEWNESS_TOL, skew < 0, peak < 0)
+    return np.where(flip[:, None], -w[order], w[order])
 
 
 def separate(model: IcaModel, white) -> np.ndarray:

@@ -35,14 +35,6 @@ class SeparationReport:
     def min_abs_correlation(self) -> float:
         return min(abs(r) for r in self.correlations)
 
-    def to_dict(self) -> dict:
-        return {
-            "assignment": [list(pair) for pair in self.assignment],
-            "correlations": list(self.correlations),
-            "amari_index": self.amari_index,
-            "leakage": list(self.leakage),
-        }
-
 
 def pearson(x, y) -> float:
     """Sample correlation coefficient, clipped to [-1, 1]."""

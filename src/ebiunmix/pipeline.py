@@ -2,9 +2,13 @@
 
 Per frame: decimate -> low-pass filter (before or after decimation, as
 configured) -> PCA whitening with dimension reduction -> FastICA ->
-canonically ordered components. When ground-truth sources are supplied they
-are framed and decimated identically and each frame's components are scored
-against them.
+canonically ordered components. Each channel is filtered relative to the
+frame's first sample, so a DC baseline does not enter the zero-state filter
+as a step. When ground-truth sources are supplied they are framed and
+decimated identically and each frame's components are scored against them.
+
+A cutoff that the rate the filter runs at cannot realise fails the whole run
+once, before framing.
 
 A stage failure inside one frame (any of the package's ValueError or
 RuntimeError family) is recorded in the report (stage name plus message) and
@@ -28,7 +32,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .dsp import SignalMatrix, apply_filter, decimate, design_butterworth_lp2, frame_signal
+from .dsp import (
+    BiquadCoefficients,
+    SignalMatrix,
+    apply_filter,
+    decimate,
+    design_butterworth_lp2,
+    frame_signal,
+)
 from .errors import CsvFormatError, DimensionError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
 from .linalg import check_number
@@ -122,12 +133,17 @@ def run_pipeline(
 
     Frames are independent: each uses ICA seed config.ica.seed + frame index,
     so results do not depend on processing order.
+
+    Raises:
+        FilterDesignError: the cutoff is not below the Nyquist frequency of
+            the rate the filter runs at; raised once, before framing.
     """
     if signal.n_channels < config.retained_components:
         raise DimensionError(
             f"input has {signal.n_channels} channels, fewer than "
             f"retained_components={config.retained_components}"
         )
+    _lowpass(config, signal.sample_rate_hz)  # an unrealisable cutoff fails here, once
     t_start = time.perf_counter()
     report = RunReport(config=asdict(config), frames=[])
 
@@ -201,7 +217,7 @@ def process_frame(
             ica = fit_fastica(white, ica_config, dewhitening=dewhitening)
             result.W = ica.unmixing.tolist()
             result.A_est = ica.mixing_estimate.tolist()
-            result.convergence = ica.convergence.to_dict()
+            result.convergence = asdict(ica.convergence)
 
             sources = separate(ica, white)
             out = SignalMatrix(
@@ -210,7 +226,7 @@ def process_frame(
 
         if truth_processed is not None:
             stage = "match"
-            result.matching = match_components(out.samples, truth_processed.samples).to_dict()
+            result.matching = asdict(match_components(out.samples, truth_processed.samples))
     except (ValueError, RuntimeError) as exc:  # the package's error family
         result.stage = stage
         result.error = f"{type(exc).__name__}: {exc}"
@@ -221,14 +237,25 @@ def process_frame(
     return out, result
 
 
+def _lowpass(config: PipelineConfig, rate_hz: float) -> BiquadCoefficients:
+    """The low-pass biquad for input at rate_hz, at the rate the filter runs at."""
+    if config.filter_position == "after_decimate":
+        rate_hz = rate_hz / config.decimation_factor
+    return design_butterworth_lp2(config.cutoff_hz, rate_hz)
+
+
 def _preprocess(frame: SignalMatrix, config: PipelineConfig) -> SignalMatrix:
+    coeffs = _lowpass(config, frame.sample_rate_hz)
+    # decimate keeps sample 0, so after_decimate subtracts the same first
+    # sample from a frame a decimation factor shorter
     if config.filter_position == "before_decimate":
-        coeffs = design_butterworth_lp2(config.cutoff_hz, frame.sample_rate_hz)
-        frame = apply_filter(frame, coeffs)
-        return decimate(frame, config.decimation_factor)
-    frame = decimate(frame, config.decimation_factor)
-    coeffs = design_butterworth_lp2(config.cutoff_hz, frame.sample_rate_hz)
-    return apply_filter(frame, coeffs)
+        return decimate(apply_filter(_from_first_sample(frame), coeffs), config.decimation_factor)
+    return apply_filter(_from_first_sample(decimate(frame, config.decimation_factor)), coeffs)
+
+
+def _from_first_sample(frame: SignalMatrix) -> SignalMatrix:
+    """Each channel minus its first sample: the zero-state filter starts at rest."""
+    return SignalMatrix(frame.samples - frame.samples[0], frame.sample_rate_hz, frame.channel_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ These deliberately take a different computational route from the package:
 covariance by explicit double loops, eigenvalues from characteristic
 polynomial roots, determinants by cofactor expansion, filter responses from
 the analog prototype, filter outputs from the difference equation one sample
-at a time, spectra straight from the FFT, CSV text one formatted row at a time.
+at a time, spectra straight from the FFT, CSV text one formatted row at a time,
+ICA component signs one column at a time.
 """
 
 import numpy as np
@@ -79,6 +80,21 @@ def biquad_recursion(x, c):
         x2, x1 = x1, xt
         y2, y1 = y1, yt
     return y
+
+
+def canonical_unmixing(x, w, skew_tol=1e-3):
+    """Rows of w by descending mean log cosh of x @ w.T minus its Gaussian value,
+    each negated when its component's skewness is below -skew_tol, or, for
+    |skewness| < skew_tol, when its largest-magnitude sample is negative."""
+    s = x @ w.T
+    score = np.log(np.cosh(s)).mean(axis=0)
+    out = []
+    for i in np.argsort(-score, kind="stable"):
+        col = s[:, i]
+        skew = np.mean(col**3) / np.mean(col**2) ** 1.5
+        flip = skew < 0 if abs(skew) >= skew_tol else col[np.argmax(np.abs(col))] < 0
+        out.append(-w[i] if flip else w[i])
+    return np.array(out)
 
 
 def csv_text(header_lines, rows):

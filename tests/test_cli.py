@@ -123,14 +123,36 @@ class TestRunCommand:
 
     def test_frame_errors_exit_code_2(self, tmp_path, capsys):
         mixture_path, _ = synth_files(tmp_path)
+        mixture = read_csv(mixture_path)
+        samples = mixture.samples.copy()
+        samples[:10000, 3] = 7.0  # a dead electrode in frame 0 only
+        dead_path = tmp_path / "dead.csv"
+        write_csv(SignalMatrix(samples, mixture.sample_rate_hz, mixture.channel_labels), dead_path)
+        code = run_cli(
+            "run",
+            "--input", str(dead_path),
+            "--out-dir", str(tmp_path / "bad"),
+            "--mode", "ica_only",
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "frame 0: FAILED at whiten: DegenerateComponentError" in out
+        assert "frame 1: ok" in out
+
+    def test_unrealisable_cutoff_exits_1(self, tmp_path, capsys):
+        mixture_path, _ = synth_files(tmp_path)
+        capsys.readouterr()
         code = run_cli(
             "run",
             "--input", str(mixture_path),
             "--out-dir", str(tmp_path / "bad"),
             "--cutoff-hz", "60",  # above post-decimation Nyquist of 50 Hz
         )
-        assert code == 2
-        assert "FAILED at preprocess" in capsys.readouterr().out
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: cutoff 60.0 Hz" in captured.err and "Nyquist (50.0 Hz)" in captured.err
+        assert "FAILED" not in captured.out
+        assert not (tmp_path / "bad" / "demo_mixture_report.json").exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         mixture_path, _ = synth_files(tmp_path)
@@ -177,7 +199,8 @@ class TestRunCommand:
         ({"filter_order": 2}, "filter_order"),
         ({"frame-len": 5000}, "frame-len"),
         ({"ica": {"max_iter": 5}}, "max_iter"),
-    ], ids=["filter_order", "frame-len", "ica.max_iter"])
+        ({"ica": {"orthogonalization": "symmetric"}}, "orthogonalization"),
+    ], ids=["filter_order", "frame-len", "ica.max_iter", "ica.orthogonalization"])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, file_config, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_config))

@@ -1,8 +1,18 @@
 """Tests for the FastICA fixed-point estimator."""
+import itertools
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from ebiunmix.errors import DimensionError, InvalidInputError, NonWhiteInputError
+from ebiunmix import fastica
+from ebiunmix.errors import (
+    DegenerateComponentError,
+    DimensionError,
+    InvalidInputError,
+    NonWhiteInputError,
+)
 from ebiunmix.fastica import (
     GAUSSIAN_LOGCOSH_MEAN,
     ConvergenceReport,
@@ -15,9 +25,22 @@ from ebiunmix.fastica import (
 from ebiunmix.metrics import amari_index, match_components
 from ebiunmix.pca import fit_pca, whiten
 
-from oracles import gauss_logcosh_mean
+from oracles import canonical_unmixing, gauss_logcosh_mean
 
 KNOWN_MIXING = np.array([[1.0, 0.5], [0.3, 1.0]])
+
+
+def raising_on_call(n):
+    """_symmetric_decorrelate that loses rank on its n-th call (1-based)."""
+    real = fastica._symmetric_decorrelate
+    calls = itertools.count(1)
+
+    def decorrelate(w):
+        if next(calls) == n:
+            raise DegenerateComponentError("unmixing update became rank-deficient", component=0)
+        return real(w)
+
+    return decorrelate
 
 
 def uniform_sources(n, seed, k=2):
@@ -137,12 +160,34 @@ class TestFitFastica:
         k = model.n_components
         assert np.abs(model.unmixing @ model.unmixing.T - np.eye(k)).max() < 1e-8
 
-    def test_deflation_also_recovers_sources(self):
-        sources = uniform_sources(10000, seed=11)
+    @pytest.mark.parametrize("failing_call", [2, 3, 4])
+    def test_rank_deficient_update_flagged_not_raised(self, monkeypatch, failing_call):
+        # call 1 decorrelates the random start; call n >= 2 is update n - 1
+        sources = uniform_sources(4000, seed=10)
         white, _, _ = whitened_mixture(sources, KNOWN_MIXING)
-        model = fit_fastica(white, IcaConfig(seed=0, orthogonalization="deflation"))
-        report = match_components(separate(model, white), sources)
-        assert report.min_abs_correlation() >= 0.99
+        reference = fit_fastica(white, IcaConfig(seed=4))
+        # the failing update exists, so the fit had not converged before it
+        assert reference.convergence.iterations_used >= failing_call - 1
+        monkeypatch.setattr(fastica, "_symmetric_decorrelate", raising_on_call(failing_call))
+        model = fit_fastica(white, IcaConfig(seed=4))
+        conv = model.convergence
+        done = failing_call - 2
+        assert conv.iterations_used == done
+        assert conv.per_iteration_deltas == reference.convergence.per_iteration_deltas[:done]
+        assert conv.final_delta == (conv.per_iteration_deltas[-1] if done else 1.0)
+        assert not conv.converged and conv.converged == (conv.final_delta < 1e-6)
+        json.dumps(asdict(conv), allow_nan=False)
+        assert np.abs(model.unmixing @ model.unmixing.T - np.eye(2)).max() < 1e-12
+        if done:
+            monkeypatch.undo()
+            truncated = fit_fastica(white, IcaConfig(seed=4, max_iterations=done))
+            assert np.array_equal(model.unmixing, truncated.unmixing)
+
+    def test_rank_deficient_start_raises(self, monkeypatch):
+        white, _, _ = whitened_mixture(uniform_sources(4000, seed=10), KNOWN_MIXING)
+        monkeypatch.setattr(fastica, "_symmetric_decorrelate", raising_on_call(1))
+        with pytest.raises(DegenerateComponentError):
+            fit_fastica(white, IcaConfig(seed=4))
 
     def test_pow3_contrast_works(self):
         sources = uniform_sources(10000, seed=12)
@@ -168,6 +213,18 @@ class TestFitFastica:
             else:
                 assert col[np.argmax(np.abs(col))] >= 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_canonical_order_and_signs_match_per_column_loop(self, seed, symmetric):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([
+            rng.exponential(1.0, 4000) - 1.0, rng.uniform(-1.0, 1.0, 4000), rng.standard_normal(4000)
+        ])
+        if symmetric:  # every component's skewness is 0: the largest-sample rule decides
+            x = np.vstack([x, -x])
+        w = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        assert np.array_equal(fastica._canonicalize(x, w), canonical_unmixing(x, w))
+
     def test_amari_improves_with_sample_count(self):
         medians = []
         for n in (1000, 10000, 100000):
@@ -188,8 +245,6 @@ class TestFitFastica:
             IcaConfig(tolerance=0.0)
         with pytest.raises(InvalidInputError):
             IcaConfig(max_iterations=0)
-        with pytest.raises(InvalidInputError):
-            IcaConfig(orthogonalization="qr")
 
     @pytest.mark.parametrize("field,value", [
         ("max_iterations", 200.0), ("max_iterations", True), ("max_iterations", "200"),

@@ -1,9 +1,12 @@
 """Tests for the end-to-end pipeline and CSV round-tripping."""
+import functools
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebiunmix import pipeline
 from ebiunmix.dsp import SignalMatrix, frame_signal
@@ -11,6 +14,7 @@ from ebiunmix.errors import (
     CsvFormatError,
     DegenerateComponentError,
     DimensionError,
+    FilterDesignError,
     InvalidInputError,
 )
 from ebiunmix.fastica import IcaConfig
@@ -94,16 +98,27 @@ class TestRunPipeline:
 
     def test_frame_error_recorded_and_other_frames_processed(self):
         mixture, _ = default_scenario(n=25000, seed=1)
-        # 60 Hz cutoff is above the 50 Hz post-decimation Nyquist: every
-        # frame fails at the preprocess stage but the run still completes
-        config = PipelineConfig(cutoff_hz=60.0)
-        components, report = run_pipeline(mixture, config)
+        samples = mixture.samples.copy()
+        samples[:10000, 3] = 7.0  # a dead electrode in frame 0 only
+        config = PipelineConfig(mode="ica_only")
+        components, report = run_pipeline(SignalMatrix(samples, mixture.sample_rate_hz), config)
         assert report.any_frame_failed
         assert len(report.frames) == 2
-        for comp, frame in zip(components, report.frames):
-            assert comp is None
-            assert frame.stage == "preprocess"
-            assert "cutoff" in frame.error
+        assert components[0] is None
+        assert report.frames[0].stage == "whiten"
+        assert report.frames[0].error.startswith("DegenerateComponentError")
+        assert report.frames[1].ok and components[1] is not None
+
+    @pytest.mark.parametrize("cutoff_hz,position", [
+        (50.0, "after_decimate"),  # the post-decimation Nyquist itself
+        (60.0, "after_decimate"),
+        (500.0, "before_decimate"),
+    ])
+    def test_unrealisable_cutoff_raises_once_before_framing(self, monkeypatch, cutoff_hz, position):
+        mixture, _ = default_scenario(n=25000, seed=1)
+        monkeypatch.setattr(pipeline, "process_frame", None)  # never reached
+        with pytest.raises(FilterDesignError, match="Nyquist"):
+            run_pipeline(mixture, PipelineConfig(cutoff_hz=cutoff_hz, filter_position=position))
 
     def test_non_convergence_reported_not_fatal(self):
         mixture, _ = default_scenario(n=25000, seed=3)
@@ -168,7 +183,7 @@ class TestRunPipeline:
     def test_report_json_serializable_with_expected_keys(self):
         mixture, truth = default_scenario(n=25000, seed=5)
         _, report = run_pipeline(mixture, PipelineConfig(), truth)
-        payload = json.loads(json.dumps(report.to_dict()))
+        payload = json.loads(json.dumps(report.to_dict(), allow_nan=False))
         assert set(payload) == {"config", "frames", "warnings", "n_frames", "total_seconds"}
         frame = payload["frames"][0]
         for key in ("eigenvalues", "explained_variance", "W", "A_est", "convergence", "matching"):
@@ -197,6 +212,63 @@ class TestDeterminismAndFrameIndependence:
             comp, result = process_frame(frames[idx], config, idx)
             assert result.W == report.frames[idx].W
             assert result.convergence == report.frames[idx].convergence
+
+
+@functools.lru_cache(maxsize=None)
+def _mixture(seed):
+    return default_scenario(n=20000, seed=seed)[0].samples
+
+
+def _components(samples, position):
+    components, report = run_pipeline(
+        SignalMatrix(samples, 1000.0), PipelineConfig(filter_position=position)
+    )
+    assert len(components) == 2 and not report.any_frame_failed
+    return np.stack([c.samples for c in components])
+
+
+class TestMetamorphic:
+    """What must not change the separated components (each of unit variance).
+
+    Tolerance 1e-9 absolute throughout. Offsets of up to 1e4 round each
+    sample by up to eps * 1e4, about 2e-12, and the channel order changes
+    the order of the Jacobi rotations; the largest deviation seen was 6e-12
+    (seeds 0-5, both filter positions).
+    """
+
+    @settings(max_examples=10)
+    @given(
+        seed=st.integers(0, 3),
+        position=st.sampled_from(("after_decimate", "before_decimate")),
+        offsets=st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4),
+    )
+    def test_invariant_to_per_channel_dc_offsets(self, seed, position, offsets):
+        x = _mixture(seed)
+        shifted = _components(x + np.array(offsets), position)
+        assert np.abs(shifted - _components(x, position)).max() <= 1e-9
+
+    @settings(max_examples=10)
+    @given(
+        seed=st.integers(0, 3),
+        position=st.sampled_from(("after_decimate", "before_decimate")),
+        order=st.permutations(range(4)),
+    )
+    def test_invariant_to_channel_permutation(self, seed, position, order):
+        x = _mixture(seed)
+        permuted = _components(x[:, order], position)
+        assert np.abs(permuted - _components(x, position)).max() <= 1e-9
+
+    @settings(max_examples=10)
+    @given(
+        seed=st.integers(0, 3),
+        position=st.sampled_from(("after_decimate", "before_decimate")),
+        exponent=st.floats(-3.0, 3.0),
+        sign=st.sampled_from((-1.0, 1.0)),
+    )
+    def test_invariant_to_overall_gain(self, seed, position, exponent, sign):
+        x = _mixture(seed)
+        scaled = _components(x * (sign * 10.0**exponent), position)
+        assert np.abs(scaled - _components(x, position)).max() <= 1e-9
 
 
 class TestCsvIO:
