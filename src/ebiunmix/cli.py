@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="filter after (default) or before decimation")
     run.add_argument("--components", type=int, help="retained dimension (default 2)")
     run.add_argument("--contrast", choices=CONTRASTS, help="ICA contrast (default logcosh)")
-    run.add_argument("--tol", type=float, help="ICA convergence tolerance (default 1e-6)")
+    run.add_argument("--tol", type=float, help="ICA convergence tolerance in (0, 1) (default 1e-6)")
     run.add_argument("--max-iter", type=int, help="ICA iteration cap (default 200)")
     run.add_argument("--seed", type=int, help=f"ICA seed (fallback: ${SEED_ENV_VAR}, then 0)")
     run.add_argument("--mode", choices=MODES, help="pipeline mode (default pca_then_ica)")

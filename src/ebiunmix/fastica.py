@@ -55,8 +55,8 @@ class IcaConfig:
             raise InvalidInputError(f"contrast must be one of {CONTRASTS}, got {self.contrast!r}")
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (self.tolerance > 0):
-            raise InvalidInputError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (0 < self.tolerance < 1):  # the delta 1 - |<w+, w>| never exceeds 1
+            raise InvalidInputError(f"tolerance must be in (0, 1), got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ frame's first sample, so a DC baseline does not enter the zero-state filter
 as a step. When ground-truth sources are supplied they are framed and
 decimated identically and each frame's components are scored against them.
 
-A cutoff that the rate the filter runs at cannot realise fails the whole run
-once, before framing.
+A cutoff that the rate the filter runs at cannot realise, or a decimated frame
+shorter than the channel count, fails the whole run once, before framing.
 
 A stage failure inside one frame (any of the package's ValueError or
 RuntimeError family) is recorded in the report (stage name plus message) and
@@ -21,11 +21,12 @@ CSV format (also written by the synth generator):
     0.1,0.2,0.3,0.4
     ...
 
-Comment lines are `# key=value` and must include rate_hz; the single header
-row holds channel labels; every following row is one sample.
+`# key=value` comment lines may sit anywhere and must include rate_hz; blank
+lines are skipped. The single header row holds channel labels; every
+following row is one sample. Cells use numpy's float syntax (so no `1_000`),
+and a `#` inside a row is an error, not a comment.
 """
 
-import array
 import itertools
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -40,7 +41,7 @@ from .dsp import (
     design_butterworth_lp2,
     frame_signal,
 )
-from .errors import CsvFormatError, DimensionError, InvalidInputError
+from .errors import CsvFormatError, DimensionError, InsufficientDataError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
 from .linalg import check_number
 from .metrics import match_components
@@ -117,13 +118,7 @@ class RunReport:
         return any(not f.ok for f in self.frames)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "frames": [asdict(f) for f in self.frames],
-            "warnings": list(self.warnings),
-            "n_frames": len(self.frames),
-            "total_seconds": self.total_seconds,
-        }
+        return {**asdict(self), "n_frames": len(self.frames)}
 
 
 def run_pipeline(
@@ -137,6 +132,8 @@ def run_pipeline(
     Raises:
         FilterDesignError: the cutoff is not below the Nyquist frequency of
             the rate the filter runs at; raised once, before framing.
+        InsufficientDataError: a decimated frame has fewer samples than the
+            signal has channels; raised once, before framing.
     """
     if signal.n_channels < config.retained_components:
         raise DimensionError(
@@ -144,6 +141,12 @@ def run_pipeline(
             f"retained_components={config.retained_components}"
         )
     _lowpass(config, signal.sample_rate_hz)  # an unrealisable cutoff fails here, once
+    decimated_len = -(-config.frame_len // config.decimation_factor)
+    if decimated_len < signal.n_channels:  # fit_pca's rule, checked once rather than per frame
+        raise InsufficientDataError(
+            f"frame_len {config.frame_len} decimated by {config.decimation_factor} leaves "
+            f"{decimated_len} samples per frame, fewer than the {signal.n_channels} channels"
+        )
     t_start = time.perf_counter()
     report = RunReport(config=asdict(config), frames=[])
 
@@ -270,95 +273,89 @@ def write_csv(signal: SignalMatrix, path) -> None:
 
 
 def read_csv(path) -> SignalMatrix:
-    """Parse a SignalMatrix CSV, streaming line by line.
+    """Parse a SignalMatrix CSV; numpy's parser reads the data rows.
 
     Raises:
-        CsvFormatError: missing rate_hz, missing header, ragged rows, or
-            non-numeric or non-finite cells; carries the 1-based line number.
+        CsvFormatError: numeric or missing header, ragged rows, non-numeric or
+            non-finite cells, missing or bad rate_hz, or no data rows; carries
+            the 1-based line number.
     """
-    meta: dict[str, str] = {}
-    labels: tuple | None = None
-    values = array.array("d")
-    n_rows = 0
-    n_cols = 0
-    last_line = 0
-    rate_line = 0
-
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            last_line = line_no
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                    if key.strip() == "rate_hz":
-                        rate_line = line_no
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if labels is None:
-                if _all_numeric(cells):
-                    raise CsvFormatError(
-                        "expected a header row of channel labels, found numeric data",
-                        line_number=line_no,
-                    )
-                labels = tuple(cells)
-                n_cols = len(labels)
-                continue
-            if len(cells) != n_cols:
-                raise CsvFormatError(
-                    f"expected {n_cols} columns, found {len(cells)}", line_number=line_no
-                )
+        lines = _CsvLines(fh)
+        rows = iter(lines)
+        header, first = next(rows, None), next(rows, None)
+        if header is not None and _numbers(header[1]) is not None:
+            raise CsvFormatError(
+                "expected a header row of channel labels, found numeric data", line_number=header[0]
+            )
+        labels = () if header is None else tuple(c.strip() for c in header[1].split(","))
+        if first is not None:
+            data = (line for _, line in itertools.chain([first], rows))
             try:
-                values.extend(float(c) for c in cells)
+                samples = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
             except ValueError:
-                bad = next(c for c in cells if not _is_numeric(c))
-                raise CsvFormatError(f"non-numeric cell {bad!r}", line_number=line_no) from None
-            n_rows += 1
+                samples = None
+            if samples is None or samples.shape[1] != len(labels) or not np.isfinite(samples).all():
+                _raise_at_bad_row(lines, len(labels))
 
-    if "rate_hz" not in meta:
-        raise CsvFormatError("missing required '# rate_hz=' comment", line_number=last_line)
-    try:
-        rate = float(meta["rate_hz"])
-    except ValueError:
-        rate = float("nan")
-    if not (rate > 0):
+    rate_text, rate_line = lines.meta.get("rate_hz", (None, lines.line_no))
+    if rate_text is None:
+        raise CsvFormatError("missing required '# rate_hz=' comment", line_number=rate_line)
+    rate = _numbers(rate_text)
+    if rate is None or rate.shape != (1,) or not 0 < rate[0] < np.inf:
         raise CsvFormatError(
-            f"rate_hz must be a number > 0, got {meta['rate_hz']!r}", line_number=rate_line
+            f"rate_hz must be a finite number > 0, got {rate_text!r}", line_number=rate_line
         )
-    if labels is None:
-        raise CsvFormatError("missing header row", line_number=last_line)
-    if n_rows == 0:
-        raise CsvFormatError("no data rows", line_number=last_line)
-
-    samples = np.frombuffer(values, dtype=float).reshape(n_rows, n_cols)
-    finite = np.isfinite(samples)
-    if not finite.all():
-        line_no, cells = _data_row(path, int(np.argmin(finite.all(axis=1))))
-        bad = next(c for c in cells if not np.isfinite(float(c)))
-        raise CsvFormatError(f"non-finite cell {bad!r}", line_number=line_no)
-    return SignalMatrix(samples, rate, labels)
+    if header is None:
+        raise CsvFormatError("missing header row", line_number=lines.line_no)
+    if first is None:
+        raise CsvFormatError("no data rows", line_number=lines.line_no)
+    return SignalMatrix(samples, rate.item(), labels)
 
 
-def _data_row(path, row: int) -> tuple[int, list[str]]:
-    """1-based line number and cells of the row-th (0-based) data row of a CSV."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = ((line_no, raw.strip()) for line_no, raw in enumerate(fh, start=1))
-        rows = ((line_no, line) for line_no, line in lines if line and not line.startswith("#"))
-        line_no, line = next(itertools.islice(rows, row + 1, None))  # the header comes first
-    return line_no, [c.strip() for c in line.split(",")]
+class _CsvLines:
+    """(line number, stripped line) of each header or data line of an open CSV,
+    from its start. `# key=value` comments go to meta as key -> (value, line
+    number); line_no is the number of the last line read."""
+
+    def __init__(self, fh):
+        self.fh, self.meta, self.line_no = fh, {}, 0
+
+    def __iter__(self):
+        self.fh.seek(0)
+        for self.line_no, raw in enumerate(self.fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    self.meta[key.strip()] = (value.strip(), self.line_no)
+            elif line:
+                yield self.line_no, line
 
 
-def _is_numeric(cell: str) -> bool:
+def _raise_at_bad_row(lines: _CsvLines, n_cols: int) -> None:
+    """Raise CsvFormatError at the first data row that is ragged, non-numeric or non-finite."""
+    rows = iter(lines)
+    next(rows)  # the header
+    for line_no, line in rows:
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != n_cols:
+            raise CsvFormatError(
+                f"expected {n_cols} columns, found {len(cells)}", line_number=line_no
+            )
+        values = _numbers(line)
+        if values is not None and np.isfinite(values).all():
+            continue  # one parse per good row; only the bad row is judged cell by cell
+        for cell in cells:
+            values = _numbers(cell)
+            if values is None or not np.isfinite(values).all():
+                kind = "non-numeric" if values is None else "non-finite"
+                raise CsvFormatError(f"{kind} cell {cell!r}", line_number=line_no)
+
+
+def _numbers(text: str) -> np.ndarray | None:
+    """The comma-separated numbers in text, read as the data rows are; None if one is not."""
     try:
-        float(cell)
-        return True
+        return np.loadtxt([text], delimiter=",", comments=None, ndmin=1) if text else None
     except ValueError:
-        return False
-
-
-def _all_numeric(cells) -> bool:
-    return all(_is_numeric(c) for c in cells)
+        return None

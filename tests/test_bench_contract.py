@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ebiunmix import cli
 from ebiunmix.pipeline import PipelineConfig, process_frame, run_pipeline
 from ebiunmix.synth import default_scenario
 
@@ -61,3 +62,18 @@ def test_tracer_counts_one_pass(spans):
     assert counts["pipeline.frames"] == 2
     assert counts["dsp.filter_samples"] == 2 * 1000 * 4
     assert counts["fastica.iterations"] > 0
+
+
+def test_tracer_counts_csv_rows_read(spans, tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out-dir", str(data), "--stem", "s", "--n", "12000"]) == 0
+    inputs = [data / "s_mixture.csv", data / "s_truth.csv"]
+    argv = ["run", "--input", str(inputs[0]), "--truth", str(inputs[1]),
+            "--out-dir", str(tmp_path / "out")]
+    tracer = spans.Tracer()
+    with tracer.traced_pass(0) as root:
+        assert root(lambda: cli.main(argv)) == 0
+    # each file: one rate comment, one header, then one line per row
+    rows = sum(len(path.read_text().splitlines()) - 2 for path in inputs)
+    assert rows == 2 * 12000
+    assert tracer.pass_summary(0)["counts"]["pipeline.read_csv_rows"] == rows

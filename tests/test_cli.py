@@ -154,6 +154,23 @@ class TestRunCommand:
         assert "FAILED" not in captured.out
         assert not (tmp_path / "bad" / "demo_mixture_report.json").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--tol", "1.5"), "tolerance must be in (0, 1), got 1.5"),
+        (("--frame-len", "30"),
+         "frame_len 30 decimated by 10 leaves 3 samples per frame, fewer than the 4 channels"),
+    ], ids=["tol", "frame-len"])
+    def test_unworkable_config_exits_1(self, tmp_path, capsys, flags, message):
+        mixture_path, _ = synth_files(tmp_path)
+        capsys.readouterr()
+        code = run_cli(
+            "run", "--input", str(mixture_path), "--out-dir", str(tmp_path / "bad"), *flags
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "FAILED" not in captured.out
+        assert not (tmp_path / "bad" / "demo_mixture_report.json").exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         mixture_path, _ = synth_files(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -243,6 +243,9 @@ class TestFitFastica:
             IcaConfig(contrast="cosh")
         with pytest.raises(InvalidInputError):
             IcaConfig(tolerance=0.0)
+        for tolerance in (1.0, 1.5, float("inf")):  # the delta never exceeds 1
+            with pytest.raises(InvalidInputError, match="tolerance"):
+                IcaConfig(tolerance=tolerance)
         with pytest.raises(InvalidInputError):
             IcaConfig(max_iterations=0)
 

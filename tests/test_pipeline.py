@@ -1,11 +1,12 @@
 """Tests for the end-to-end pipeline and CSV round-tripping."""
 import functools
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ebiunmix import pipeline
@@ -15,6 +16,7 @@ from ebiunmix.errors import (
     DegenerateComponentError,
     DimensionError,
     FilterDesignError,
+    InsufficientDataError,
     InvalidInputError,
 )
 from ebiunmix.fastica import IcaConfig
@@ -119,6 +121,32 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline, "process_frame", None)  # never reached
         with pytest.raises(FilterDesignError, match="Nyquist"):
             run_pipeline(mixture, PipelineConfig(cutoff_hz=cutoff_hz, filter_position=position))
+
+    @pytest.mark.parametrize("frame_len,decimation_factor,ok", [
+        (30, 10, False),  # 3 decimated samples for 4 channels
+        (31, 10, True),
+        (3, 1, False),
+        (4, 1, True),
+    ])
+    def test_short_decimated_frame_raises_once_before_framing(
+        self, monkeypatch, frame_len, decimation_factor, ok
+    ):
+        mixture, _ = default_scenario(n=2000, seed=1)
+        calls = []
+
+        def record_frame(frame, config, idx, truth):  # the frame's stages never run
+            calls.append(idx)
+            return None, pipeline.FrameResult(idx)
+
+        monkeypatch.setattr(pipeline, "process_frame", record_frame)
+        config = PipelineConfig(frame_len=frame_len, decimation_factor=decimation_factor)
+        if ok:
+            run_pipeline(mixture, config)
+            assert len(calls) == 2000 // frame_len
+        else:
+            with pytest.raises(InsufficientDataError, match="fewer than the 4 channels"):
+                run_pipeline(mixture, config)
+            assert calls == []
 
     def test_non_convergence_reported_not_fatal(self):
         mixture, _ = default_scenario(n=25000, seed=3)
@@ -332,7 +360,7 @@ class TestCsvIO:
             read_csv(path)
         assert err.value.line_number == 7
 
-    @pytest.mark.parametrize("rate", ["abc", "0", "-5", "nan"])
+    @pytest.mark.parametrize("rate", ["abc", "0", "-5", "nan", "inf", "1_000"])
     def test_bad_rate_rejected_at_its_line(self, tmp_path, rate):
         path = tmp_path / "in.csv"
         path.write_text(f"# source=lab\n\n# rate_hz={rate}\nch1,ch2\n1.0,2.0\n")
@@ -340,6 +368,57 @@ class TestCsvIO:
             read_csv(path)
         assert err.value.line_number == 3
         assert repr(rate) in str(err.value)
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_round_trip_exact_for_any_finite_float(self, tmp_path, rows, cols, data):
+        edge = st.sampled_from([
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+        ])
+        cell = st.one_of(edge, st.floats(allow_nan=False, allow_infinity=False))
+        samples = np.array(
+            data.draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+        ).reshape(rows, cols)
+        path = tmp_path / "sig.csv"
+        write_csv(SignalMatrix(samples, 1000.0), path)
+        back = read_csv(path).samples
+        assert back.shape == samples.shape
+        assert np.array_equal(back.view(np.uint64), samples.view(np.uint64))  # -0.0 kept
+
+    def test_comments_crlf_and_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(
+            b"ch1,ch2\r\n  \r\n# rate_hz=250\r\n1.5, -2\r\n\t\r\n# note\r\n3,4e-3 \r\n"
+        )
+        sig = read_csv(path)
+        assert sig.sample_rate_hz == 250.0
+        assert sig.channel_labels == ("ch1", "ch2")
+        assert sig.samples.tolist() == [[1.5, -2.0], [3.0, 4e-3]]
+
+    @pytest.mark.parametrize("text,line,message", [
+        ("ch1,ch2\n# rate_hz=abc\n1.0,2.0\n", 2, "rate_hz must be a finite number > 0, got 'abc'"),
+        ("# rate_hz=100\r\nch1,ch2\r\n\r\n1.0,2.0\r\n3.0,foo\r\n", 5, "non-numeric cell 'foo'"),
+        ("# rate_hz=100\nch1,ch2\n1.0,2.0\n4.0 # x,5.0\n", 4, "non-numeric cell '4.0 # x'"),
+        ("# rate_hz=100\nch1,ch2\n1.0,2.0 # x\n", 3, "non-numeric cell '2.0 # x'"),
+        ("# rate_hz=100\nch1,ch2\n1.0,2.0\n1_000,2.0\n", 4, "non-numeric cell '1_000'"),
+        ("# rate_hz=100\nnan,inf\n1.0,2.0\n", 2, "expected a header row"),
+        ("# rate_hz=100\nch1,ch2\n1.0,2.0,3.0\n4.0,5.0\n", 3, "expected 2 columns, found 3"),
+        ("# rate_hz=100\nch1,ch2\n1.0,2.0,3.0\n4.0,5.0,6.0\n", 3, "expected 2 columns, found 3"),
+        ("# rate_hz=100\nch1,ch2\n1.0,2.0\n3.0,\n", 4, "non-numeric cell ''"),
+    ], ids=["rate-after-header", "crlf", "inline-hash", "trailing-hash", "underscore",
+            "nan-inf-header", "wide-first-row", "all-rows-wide", "empty-cell"])
+    def test_bad_input_rejected_at_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(CsvFormatError, match=re.escape(message)) as err:
+            read_csv(path)
+        assert err.value.line_number == line
 
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "in.csv"
