@@ -40,7 +40,6 @@ from .pipeline import (
 )
 from .synth import (
     MixtureSpec,
-    SourceSpec,
     default_scenario,
     effective_sources,
     gen_cardiac,
@@ -62,7 +61,6 @@ __all__ = [
     "RunReport",
     "SeparationReport",
     "SignalMatrix",
-    "SourceSpec",
     "SvdResult",
     "SymEigen",
     "amari_index",

@@ -33,7 +33,7 @@ from .pipeline import (
     run_pipeline,
     write_csv,
 )
-from .synth import SourceSpec, default_scenario
+from .synth import default_scenario
 
 SEED_ENV_VAR = "EBI_UNMIX_SEED"
 
@@ -65,16 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="generate a synthetic mixture and its ground truth")
     synth.add_argument("--out-dir", default=".", help="output directory")
     synth.add_argument("--stem", default="ebi_synth", help="output file stem")
-    synth.add_argument("--n", type=int, default=25000, help="number of samples")
-    synth.add_argument("--rate", type=float, default=1000.0, help="sample rate in Hz")
-    synth.add_argument("--seed", type=int, default=None, help="generation seed")
-    synth.add_argument("--noise-sigma", type=float, default=0.05, help="channel noise sigma")
-    synth.add_argument("--correlation-injection", type=float, default=0.0,
+    synth.add_argument("--n", type=int, help="number of samples")
+    synth.add_argument("--rate", type=float, help="sample rate in Hz")
+    synth.add_argument("--seed", type=int, help="generation seed")
+    synth.add_argument("--noise-sigma", type=float, help="channel noise sigma")
+    synth.add_argument("--correlation-injection", type=float,
                        help="respiratory->cardiac amplitude modulation depth in [0,1)")
-    synth.add_argument("--cardiac-hz", type=float, default=1.2, help="cardiac fundamental")
-    synth.add_argument("--resp-hz", type=float, default=0.25, help="respiratory fundamental")
-    synth.add_argument("--jitter-pct", type=float, default=2.0, help="beat interval jitter %%")
-    synth.add_argument("--harmonics", type=int, default=3, help="respiratory harmonic count")
+    synth.add_argument("--cardiac-hz", type=float, help="cardiac fundamental")
+    synth.add_argument("--resp-hz", type=float, help="respiratory fundamental")
+    synth.add_argument("--jitter-pct", type=float, help="beat interval jitter %%")
+    synth.add_argument("--harmonics", type=int, help="respiratory harmonic count")
 
     ev = sub.add_parser("eval", help="score component CSV against ground-truth CSV")
     ev.add_argument("--components", required=True, help="estimated components CSV")
@@ -100,6 +100,11 @@ def _resolve_seed(flag_value, file_value):
     return 0
 
 
+def _given(**flags) -> dict:
+    """The flags that were set on the command line (argparse leaves the rest None)."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _known_keys(section, cls, where: str) -> dict:
     """Copy of a config-file section; rejects keys that are not fields of cls."""
     if not isinstance(section, dict):
@@ -120,12 +125,9 @@ def _build_config(args) -> PipelineConfig:
     top = _known_keys(file_cfg, PipelineConfig, "file")
     ica = _known_keys(top.pop("ica", {}), IcaConfig, "section 'ica'")
 
-    def given(**flags):
-        return {key: value for key, value in flags.items() if value is not None}
-
-    ica.update(given(contrast=args.contrast, max_iterations=args.max_iter, tolerance=args.tol))
+    ica.update(_given(contrast=args.contrast, max_iterations=args.max_iter, tolerance=args.tol))
     ica["seed"] = _resolve_seed(args.seed, ica.get("seed"))
-    top.update(given(
+    top.update(_given(
         frame_len=args.frame_len,
         decimation_factor=args.decimate,
         cutoff_hz=args.cutoff_hz,
@@ -198,22 +200,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    mixture, truth = default_scenario(
-        n=args.n,
-        rate_hz=args.rate,
-        seed=_resolve_seed(args.seed, None),
-        noise_sigma=args.noise_sigma,
+    mixture, truth = default_scenario(seed=_resolve_seed(args.seed, None), **_given(
+        n=args.n, rate_hz=args.rate, noise_sigma=args.noise_sigma,
         correlation_injection=args.correlation_injection,
-        cardiac=SourceSpec.cardiac(args.cardiac_hz, jitter_pct=args.jitter_pct),
-        respiratory=SourceSpec.respiratory(args.resp_hz, harmonics=args.harmonics),
-    )
+        cardiac_hz=args.cardiac_hz, jitter_pct=args.jitter_pct,
+        resp_hz=args.resp_hz, harmonics=args.harmonics,
+    ))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mixture_path = out_dir / f"{args.stem}_mixture.csv"
     truth_path = out_dir / f"{args.stem}_truth.csv"
     write_csv(mixture, mixture_path)
     write_csv(truth, truth_path)
-    print(f"wrote {mixture_path} ({mixture.n_samples} x {mixture.n_channels} @ {args.rate} Hz)")
+    shape = f"{mixture.n_samples} x {mixture.n_channels} @ {mixture.sample_rate_hz} Hz"
+    print(f"wrote {mixture_path} ({shape})")
     print(f"wrote {truth_path}")
     return 0
 

@@ -36,23 +36,31 @@ class SeparationReport:
         return min(abs(r) for r in self.correlations)
 
 
+def _correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sample correlation of every column of x with every column of y, clipped to [-1, 1].
+
+    One Gram matrix of the centred columns of both gives the cross products
+    and the sums of squares, so a column correlated with itself is exactly 1.
+    """
+    if x.shape[0] != y.shape[0]:
+        raise DimensionError(f"row count mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[0] < 2:
+        raise InvalidInputError("correlation needs at least 2 samples")
+    z = np.hstack([x, y])
+    z -= z.mean(axis=0)
+    gram = z.T @ z
+    ss = gram.diagonal()
+    if not ss.all():
+        raise UndefinedCorrelationError("correlation undefined for zero-variance input")
+    k = x.shape[1]
+    return np.clip(gram[:k, k:] / np.sqrt(np.outer(ss[:k], ss[k:])), -1.0, 1.0)
+
+
 def pearson(x, y) -> float:
     """Sample correlation coefficient, clipped to [-1, 1]."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != y.size:
-        raise DimensionError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
-        raise InvalidInputError("correlation needs at least 2 samples")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidInputError("correlation input must be finite")
-    xm = x - x.mean()
-    ym = y - y.mean()
-    sx = float(xm @ xm)
-    sy = float(ym @ ym)
-    if sx == 0.0 or sy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for zero-variance input")
-    return float(np.clip((xm @ ym) / np.sqrt(sx * sy), -1.0, 1.0))
+    x = check_matrix(np.reshape(x, (-1, 1)), "x")
+    y = check_matrix(np.reshape(y, (-1, 1)), "y")
+    return float(_correlations(x, y)[0, 0])
 
 
 def _amari_of(p: np.ndarray) -> float:
@@ -90,38 +98,24 @@ def match_components(estimated, truth) -> SeparationReport:
     computed on the correlation matrix restricted to the matched components
     (a signed permutation there means perfect separation).
     """
-    e = check_matrix(estimated, "estimated")
-    t = check_matrix(truth, "truth")
-    if e.shape[0] != t.shape[0]:
-        raise DimensionError(f"row count mismatch: {e.shape[0]} vs {t.shape[0]}")
-    k_est, k_true = e.shape[1], t.shape[1]
+    corr = _correlations(check_matrix(estimated, "estimated"), check_matrix(truth, "truth"))
+    k_est, k_true = corr.shape
 
-    corr = np.empty((k_est, k_true))
-    for i in range(k_est):
-        for j in range(k_true):
-            corr[i, j] = pearson(e[:, i], t[:, j])
-
-    if k_est <= k_true:
-        candidates = (
-            tuple((i, perm[i]) for i in range(k_est))
-            for perm in itertools.permutations(range(k_true), k_est)
-        )
-    else:
-        candidates = (
-            tuple((sel[j], j) for j in range(k_true))
-            for sel in itertools.permutations(range(k_est), k_true)
-        )
-    best = max(candidates, key=lambda pairs: sum(abs(corr[i, j]) for i, j in pairs))
-    pairs = tuple(sorted(best))
+    # Search over the shorter side, then name each pair (estimated, true).
+    flip = k_est > k_true
+    a = np.abs(corr.T if flip else corr)
+    perm = max(
+        itertools.permutations(range(a.shape[1]), a.shape[0]),
+        key=lambda p: sum(a[r, p[r]] for r in range(len(p))),
+    )
+    pairs = tuple(sorted((c, r) if flip else (r, c) for r, c in enumerate(perm)))
 
     correlations = tuple(float(corr[i, j]) for i, j in pairs)
     leakage = tuple(
         max((abs(float(corr[i, jj])) for jj in range(k_true) if jj != j), default=0.0)
         for i, j in pairs
     )
-    est_sel = [i for i, _ in pairs]
-    true_sel = [j for _, j in pairs]
-    amari = _amari_of(corr[np.ix_(est_sel, true_sel)])
+    amari = _amari_of(corr[np.ix_(*zip(*pairs))])
     return SeparationReport(
         assignment=pairs, correlations=correlations, amari_index=amari, leakage=leakage
     )

@@ -42,43 +42,6 @@ DEFAULT_MIXING = (
 
 
 @dataclass(frozen=True)
-class SourceSpec:
-    """Parameters of one generated source signal."""
-
-    kind: str
-    fundamental_hz: float
-    amplitude: float = 1.0
-    harmonics: int = 3
-    jitter_pct: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("cardiac", "respiratory"):
-            raise InvalidInputError(f"kind must be 'cardiac' or 'respiratory', got {self.kind!r}")
-        if not (self.fundamental_hz > 0):
-            raise InvalidInputError(f"fundamental_hz must be > 0, got {self.fundamental_hz}")
-        if self.harmonics < 1:
-            raise InvalidInputError(f"harmonics must be >= 1, got {self.harmonics}")
-        if self.jitter_pct < 0:
-            raise InvalidInputError(f"jitter_pct must be >= 0, got {self.jitter_pct}")
-
-    @classmethod
-    def cardiac(cls, fundamental_hz: float = CARDIAC_DEFAULT_HZ, amplitude: float = 1.0,
-                jitter_pct: float = 2.0) -> "SourceSpec":
-        return cls("cardiac", fundamental_hz, amplitude, harmonics=1, jitter_pct=jitter_pct)
-
-    @classmethod
-    def respiratory(cls, fundamental_hz: float = RESPIRATORY_DEFAULT_HZ, amplitude: float = 1.0,
-                    harmonics: int = 3) -> "SourceSpec":
-        return cls("respiratory", fundamental_hz, amplitude, harmonics=harmonics)
-
-    def check_rate(self, rate_hz: float) -> None:
-        if not (self.fundamental_hz < rate_hz / 2.0):
-            raise InvalidInputError(
-                f"fundamental {self.fundamental_hz} Hz at/above Nyquist for rate {rate_hz} Hz"
-            )
-
-
-@dataclass(frozen=True)
 class MixtureSpec:
     """How sources are combined into channels."""
 
@@ -112,23 +75,30 @@ def _normalize(x: np.ndarray) -> np.ndarray:
     return x / sd
 
 
-def gen_cardiac(spec: SourceSpec, n: int, rate_hz: float, seed) -> np.ndarray:
+def _check_source(n: int, rate_hz: float, fundamental_hz: float) -> None:
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+    if not (0.0 < fundamental_hz < rate_hz / 2.0):
+        raise InvalidInputError(
+            f"fundamental must lie in (0, Nyquist): {fundamental_hz} Hz at rate {rate_hz} Hz"
+        )
+
+
+def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC_DEFAULT_HZ,
+                jitter_pct: float = 2.0) -> np.ndarray:
     """Quasi-periodic pulse train: one Gaussian bump per beat.
 
     Beat intervals are 1/fundamental scaled by (1 + u), u drawn uniformly in
-    +-jitter_pct/100 per beat. Output is zero-mean unit-variance (all-zero if
-    amplitude is 0).
+    +-jitter_pct/100 per beat. Output is zero-mean unit-variance.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    spec.check_rate(rate_hz)
-    if spec.amplitude == 0.0:
-        return np.zeros(n)
+    _check_source(n, rate_hz, fundamental_hz)
+    if jitter_pct < 0:
+        raise InvalidInputError(f"jitter_pct must be >= 0, got {jitter_pct}")
     rng = np.random.default_rng(seed)
     t = np.arange(n) / rate_hz
     sig = np.zeros(n)
     sigma = CARDIAC_BUMP_SIGMA_S
-    period = 1.0 / spec.fundamental_hz
+    period = 1.0 / fundamental_hz
     center = 0.5 * period
     end = n / rate_hz + 5.0 * sigma
     while center < end:
@@ -136,23 +106,25 @@ def gen_cardiac(spec: SourceSpec, n: int, rate_hz: float, seed) -> np.ndarray:
         hi = min(n, int((center + 5.0 * sigma) * rate_hz) + 1)
         if hi > lo:
             sig[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - center) / sigma) ** 2)
-        jitter = (spec.jitter_pct / 100.0) * rng.uniform(-1.0, 1.0)
+        jitter = (jitter_pct / 100.0) * rng.uniform(-1.0, 1.0)
         center += period * (1.0 + jitter)
-    return _normalize(spec.amplitude * sig)
+    return _normalize(sig)
 
 
-def gen_respiratory(spec: SourceSpec, n: int, rate_hz: float, seed) -> np.ndarray:
-    """Harmonic series: sinusoids at m * fundamental with 1/m amplitudes and
+def gen_respiratory(n: int, rate_hz: float, seed, *,
+                    fundamental_hz: float = RESPIRATORY_DEFAULT_HZ,
+                    harmonics: int = 3) -> np.ndarray:
+    """Harmonic series: sinusoids at m * fundamental weighted 1/m, with
     seeded phases; zero-mean unit-variance. Harmonics at/above Nyquist are
     dropped with a warning."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    spec.check_rate(rate_hz)
+    _check_source(n, rate_hz, fundamental_hz)
+    if harmonics < 1:
+        raise InvalidInputError(f"harmonics must be >= 1, got {harmonics}")
     rng = np.random.default_rng(seed)
     t = np.arange(n) / rate_hz
     sig = np.zeros(n)
-    for m in range(1, spec.harmonics + 1):
-        freq = m * spec.fundamental_hz
+    for m in range(1, harmonics + 1):
+        freq = m * fundamental_hz
         phase = rng.uniform(0.0, 2.0 * math.pi)
         if freq >= rate_hz / 2.0:
             warnings.warn(
@@ -160,7 +132,7 @@ def gen_respiratory(spec: SourceSpec, n: int, rate_hz: float, seed) -> np.ndarra
             )
             break
         sig += np.sin(2.0 * math.pi * freq * t + phase) / m
-    return _normalize(spec.amplitude * sig)
+    return _normalize(sig)
 
 
 def effective_sources(sources, spec: MixtureSpec) -> np.ndarray:
@@ -181,8 +153,7 @@ def effective_sources(sources, spec: MixtureSpec) -> np.ndarray:
     return s
 
 
-def mix(sources, spec: MixtureSpec, seed, rate_hz: float = 1000.0,
-        channel_labels: tuple = ()) -> SignalMatrix:
+def mix(sources, spec: MixtureSpec, seed, rate_hz: float = 1000.0) -> SignalMatrix:
     """Combine source columns into channels: sources @ mixing^T + noise.
 
     Applies correlation injection first (see effective_sources). The noise is
@@ -198,7 +169,7 @@ def mix(sources, spec: MixtureSpec, seed, rate_hz: float = 1000.0,
     if spec.noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         channels = channels + spec.noise_sigma * rng.standard_normal(channels.shape)
-    return SignalMatrix(channels, rate_hz, channel_labels)
+    return SignalMatrix(channels, rate_hz)
 
 
 def default_scenario(
@@ -207,19 +178,22 @@ def default_scenario(
     seed: int = 0,
     noise_sigma: float = 0.05,
     correlation_injection: float = 0.0,
-    cardiac: SourceSpec | None = None,
-    respiratory: SourceSpec | None = None,
+    cardiac_hz: float = CARDIAC_DEFAULT_HZ,
+    jitter_pct: float = 2.0,
+    resp_hz: float = RESPIRATORY_DEFAULT_HZ,
+    harmonics: int = 3,
     mixing=None,
 ) -> tuple[SignalMatrix, SignalMatrix]:
     """Generate a four-channel mixture plus its ground-truth source pair.
+
+    cardiac_hz and jitter_pct go to gen_cardiac, resp_hz and harmonics to
+    gen_respiratory; mixing defaults to DEFAULT_MIXING.
 
     Returns:
         (mixture, truth): mixture has one channel per mixing row; truth holds
         the two sources exactly as mixed (so a perfect unmixer scores
         correlation 1 against it), labeled "cardiac" and "respiratory".
     """
-    cardiac = cardiac or SourceSpec.cardiac()
-    respiratory = respiratory or SourceSpec.respiratory()
     mix_spec = MixtureSpec(
         mixing=np.array(DEFAULT_MIXING) if mixing is None else np.asarray(mixing, dtype=float),
         noise_sigma=noise_sigma,
@@ -228,8 +202,8 @@ def default_scenario(
     seed_cardiac, seed_resp, seed_noise = np.random.SeedSequence(seed).spawn(3)
     sources = np.column_stack(
         [
-            gen_cardiac(cardiac, n, rate_hz, seed_cardiac),
-            gen_respiratory(respiratory, n, rate_hz, seed_resp),
+            gen_cardiac(n, rate_hz, seed_cardiac, fundamental_hz=cardiac_hz, jitter_pct=jitter_pct),
+            gen_respiratory(n, rate_hz, seed_resp, fundamental_hz=resp_hz, harmonics=harmonics),
         ]
     )
     truth = SignalMatrix(

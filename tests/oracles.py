@@ -5,8 +5,11 @@ covariance by explicit double loops, eigenvalues from characteristic
 polynomial roots, determinants by cofactor expansion, filter responses from
 the analog prototype, filter outputs from the difference equation one sample
 at a time, spectra straight from the FFT, CSV text one formatted row at a time,
-ICA component signs one column at a time.
+ICA component signs one column at a time, component matching one
+correlation pair at a time.
 """
+
+import itertools
 
 import numpy as np
 
@@ -139,3 +142,45 @@ def gauss_logcosh_mean(order=128):
     """E[log cosh X], X ~ N(0,1), by Gauss-Hermite quadrature."""
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     return float(np.sum(weights * np.log(np.cosh(nodes))) / np.sqrt(2.0 * np.pi))
+
+
+def pair_correlation(x, y):
+    """Pearson correlation of two 1-D signals from their own centred dot products."""
+    xm = x - x.mean()
+    ym = y - y.mean()
+    return float(np.clip((xm @ ym) / np.sqrt((xm @ xm) * (ym @ ym)), -1.0, 1.0))
+
+
+def match_components_loops(estimated, truth):
+    """Component matching with one correlation per (estimated, true) pair and
+    separate assignment searches for each side being shorter.
+
+    Returns (assignment, correlations, leakage, amari_index) in the layout of
+    SeparationReport.
+    """
+    e = np.asarray(estimated, dtype=float)
+    t = np.asarray(truth, dtype=float)
+    k_est, k_true = e.shape[1], t.shape[1]
+    corr = np.empty((k_est, k_true))
+    for i in range(k_est):
+        for j in range(k_true):
+            corr[i, j] = pair_correlation(e[:, i], t[:, j])
+    if k_est <= k_true:
+        candidates = (
+            tuple((i, perm[i]) for i in range(k_est))
+            for perm in itertools.permutations(range(k_true), k_est)
+        )
+    else:
+        candidates = (
+            tuple((sel[j], j) for j in range(k_true))
+            for sel in itertools.permutations(range(k_est), k_true)
+        )
+    best = max(candidates, key=lambda pairs: sum(abs(corr[i, j]) for i, j in pairs))
+    pairs = tuple(sorted(best))
+    correlations = tuple(float(corr[i, j]) for i, j in pairs)
+    leakage = tuple(
+        max((abs(float(corr[i, jj])) for jj in range(k_true) if jj != j), default=0.0)
+        for i, j in pairs
+    )
+    matched = corr[np.ix_([i for i, _ in pairs], [j for _, j in pairs])]
+    return pairs, correlations, leakage, amari_loops(matched)

@@ -7,6 +7,7 @@ import pytest
 from ebiunmix.cli import _write_periodogram, main
 from ebiunmix.dsp import SignalMatrix
 from ebiunmix.pipeline import read_csv, write_csv
+from ebiunmix.synth import default_scenario
 
 from oracles import csv_text, periodogram
 
@@ -39,6 +40,17 @@ class TestSynthCommand:
         assert run_cli("synth", "--out-dir", str(tmp_path / "env")) == 0
         for name in ("ebi_synth_mixture.csv", "ebi_synth_truth.csv"):
             assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+    def test_source_flags_match_default_scenario(self, tmp_path):
+        mixture_path, truth_path = synth_files(tmp_path, seed="4", extra=(
+            "--cardiac-hz", "1.5", "--jitter-pct", "5", "--resp-hz", "0.3", "--harmonics", "2",
+        ))
+        mixture, truth = default_scenario(
+            n=25000, seed=4, cardiac_hz=1.5, jitter_pct=5.0, resp_hz=0.3, harmonics=2
+        )
+        for expected, path in ((mixture, mixture_path), (truth, truth_path)):
+            write_csv(expected, tmp_path / "expected.csv")
+            assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestWriterBytes:

@@ -1,11 +1,13 @@
 """Tests for correlation, component matching, and the Amari index."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ebiunmix.errors import DimensionError, UndefinedCorrelationError
+from ebiunmix.errors import DimensionError, InvalidInputError, UndefinedCorrelationError
 from ebiunmix.metrics import amari_index, match_components, pearson
 
-from oracles import amari_loops
+from oracles import amari_loops, match_components_loops
 
 
 class TestPearson:
@@ -84,6 +86,35 @@ class TestMatchComponents:
     def test_row_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError):
             match_components(rng.standard_normal((10, 2)), rng.standard_normal((11, 2)))
+
+    def test_zero_variance_component_rejected(self, rng):
+        estimated = np.column_stack([rng.standard_normal(50), np.ones(50)])
+        with pytest.raises(UndefinedCorrelationError):
+            match_components(estimated, rng.standard_normal((50, 2)))
+
+    def test_single_row_rejected(self):
+        with pytest.raises(InvalidInputError):
+            match_components(np.ones((1, 2)), np.ones((1, 2)))
+
+    @given(
+        k_est=st.integers(1, 4),
+        k_true=st.integers(1, 4),
+        n=st.integers(3, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_pair_oracle(self, k_est, k_true, n, seed):
+        # estimates are noisy random mixtures of the sources, so every pair
+        # carries some correlation and the search has a real choice to make
+        rng = np.random.default_rng(seed)
+        truth = rng.standard_normal((n, k_true))
+        estimated = truth @ rng.standard_normal((k_true, k_est))
+        estimated += 0.3 * rng.standard_normal((n, k_est))
+        report = match_components(estimated, truth)
+        assignment, correlations, leakage, amari = match_components_loops(estimated, truth)
+        assert report.assignment == assignment
+        assert np.abs(np.subtract(report.correlations, correlations)).max() <= 1e-12
+        assert np.abs(np.subtract(report.leakage, leakage)).max() <= 1e-12
+        assert report.amari_index == pytest.approx(amari, abs=1e-12)
 
 
 class TestAmariIndex:

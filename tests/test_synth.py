@@ -8,7 +8,6 @@ from ebiunmix.pipeline import PipelineConfig, run_pipeline
 from ebiunmix.synth import (
     DEFAULT_MIXING,
     MixtureSpec,
-    SourceSpec,
     default_scenario,
     effective_sources,
     gen_cardiac,
@@ -22,36 +21,28 @@ from oracles import peak_frequency, periodogram
 class TestGenCardiac:
     def test_spectral_peak_at_fundamental(self):
         # 12 beats over 10 s: all harmonics fall on exact FFT bins
-        spec = SourceSpec.cardiac(fundamental_hz=1.2, jitter_pct=0.0)
-        sig = gen_cardiac(spec, n=10000, rate_hz=1000.0, seed=0)
+        sig = gen_cardiac(n=10000, rate_hz=1000.0, seed=0, fundamental_hz=1.2, jitter_pct=0.0)
         peak = peak_frequency(sig, 1000.0)
         assert abs(peak - 1.2) <= 0.1 + 1e-9  # within one bin
 
-    def test_zero_amplitude_returns_zero_vector(self):
-        spec = SourceSpec("cardiac", 1.2, amplitude=0.0)
-        sig = gen_cardiac(spec, n=500, rate_hz=100.0, seed=0)
-        assert np.array_equal(sig, np.zeros(500))
-
     def test_same_seed_identical(self):
-        spec = SourceSpec.cardiac()
-        a = gen_cardiac(spec, 5000, 1000.0, seed=7)
-        b = gen_cardiac(spec, 5000, 1000.0, seed=7)
+        a = gen_cardiac(5000, 1000.0, seed=7)
+        b = gen_cardiac(5000, 1000.0, seed=7)
         assert np.array_equal(a, b)
 
     def test_zero_mean_unit_variance(self):
-        sig = gen_cardiac(SourceSpec.cardiac(), 20000, 1000.0, seed=1)
+        sig = gen_cardiac(20000, 1000.0, seed=1)
         assert abs(sig.mean()) < 1e-12
         assert sig.std() == pytest.approx(1.0, abs=1e-12)
 
     def test_fundamental_above_nyquist_rejected(self):
         with pytest.raises(InvalidInputError):
-            gen_cardiac(SourceSpec.cardiac(fundamental_hz=1.2), 100, rate_hz=2.0, seed=0)
+            gen_cardiac(100, rate_hz=2.0, seed=0, fundamental_hz=1.2)
 
 
 class TestGenRespiratory:
     def test_single_harmonic_is_pure_tone(self):
-        spec = SourceSpec.respiratory(harmonics=1)
-        sig = gen_respiratory(spec, n=4000, rate_hz=1000.0, seed=3)
+        sig = gen_respiratory(n=4000, rate_hz=1000.0, seed=3, harmonics=1)
         assert np.sqrt(np.mean(sig**2)) == pytest.approx(1.0, abs=1e-9)
         assert peak_frequency(sig, 1000.0) == pytest.approx(0.25, abs=0.25)
         # a pure on-bin tone concentrates essentially all energy in one bin
@@ -59,23 +50,21 @@ class TestGenRespiratory:
         assert power[1:, 0].max() / power[1:, 0].sum() > 0.999
 
     def test_spectral_peak_at_fundamental(self):
-        sig = gen_respiratory(SourceSpec.respiratory(), n=40000, rate_hz=1000.0, seed=5)
+        sig = gen_respiratory(n=40000, rate_hz=1000.0, seed=5)
         assert peak_frequency(sig, 1000.0) == pytest.approx(0.25, abs=0.025)
 
     def test_seed_changes_phase_not_magnitude(self):
         # n chosen so every harmonic lands on an exact FFT bin
-        spec = SourceSpec.respiratory(harmonics=3)
-        a = gen_respiratory(spec, n=4000, rate_hz=1000.0, seed=1)
-        b = gen_respiratory(spec, n=4000, rate_hz=1000.0, seed=2)
+        a = gen_respiratory(n=4000, rate_hz=1000.0, seed=1, harmonics=3)
+        b = gen_respiratory(n=4000, rate_hz=1000.0, seed=2, harmonics=3)
         assert not np.allclose(a, b)
         mag_a = np.abs(np.fft.rfft(a))
         mag_b = np.abs(np.fft.rfft(b))
         assert np.abs(mag_a - mag_b).max() < 1e-6 * mag_a.max()
 
     def test_harmonic_above_nyquist_truncated_with_warning(self):
-        spec = SourceSpec.respiratory(fundamental_hz=0.25, harmonics=5)
         with pytest.warns(UserWarning):
-            sig = gen_respiratory(spec, n=2000, rate_hz=1.2, seed=0)
+            sig = gen_respiratory(n=2000, rate_hz=1.2, seed=0, fundamental_hz=0.25, harmonics=5)
         # 3rd harmonic at 0.75 Hz exceeds the 0.6 Hz Nyquist, so the
         # spectrum must contain only the first two
         freqs, power = periodogram(sig.reshape(-1, 1), 1.2)
@@ -138,6 +127,32 @@ class TestScenario:
         components, report = run_pipeline(mixture, PipelineConfig(), truth)
         assert len(components) == 2
         assert not report.any_frame_failed
+
+    @pytest.mark.parametrize("knob, value", [
+        ("cardiac_hz", 1.5),
+        ("jitter_pct", 5.0),
+        ("resp_hz", 0.3),
+        ("harmonics", 2),
+        ("noise_sigma", 0.2),
+        ("correlation_injection", 0.2),
+    ])
+    def test_every_knob_acts(self, knob, value):
+        base, _ = default_scenario(n=5000, seed=3)
+        changed, _ = default_scenario(n=5000, seed=3, **{knob: value})
+        assert not np.array_equal(changed.samples, base.samples)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 0},
+        {"cardiac_hz": 0.0},
+        {"cardiac_hz": 600.0},
+        {"resp_hz": -0.25},
+        {"resp_hz": 500.0},
+        {"jitter_pct": -1.0},
+        {"harmonics": 0},
+    ])
+    def test_bad_source_parameter_rejected(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            default_scenario(**{"n": 1000, **kwargs})
 
     def test_labels_and_shapes(self):
         mixture, truth = default_scenario(n=3000, seed=1)
