@@ -35,8 +35,10 @@ class SignalMatrix:
     def __post_init__(self):
         a = check_matrix(self.samples, "samples").copy()
         a.flags.writeable = False
-        if not (self.sample_rate_hz > 0):
-            raise InvalidInputError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        if not (0 < self.sample_rate_hz < math.inf):
+            raise InvalidInputError(
+                f"sample_rate_hz must be a finite number > 0, got {self.sample_rate_hz}"
+            )
         labels = tuple(self.channel_labels) or tuple(f"ch{i + 1}" for i in range(a.shape[1]))
         if len(labels) != a.shape[1]:
             raise InvalidInputError(
@@ -125,10 +127,11 @@ def design_butterworth_lp2(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
     exactly 1/sqrt(2) at the cutoff and exactly 1 at DC.
 
     Raises:
-        FilterDesignError: cutoff not strictly between 0 and Nyquist.
+        FilterDesignError: rate not finite and > 0, or cutoff not strictly
+            between 0 and Nyquist.
     """
-    if not (sample_rate_hz > 0):
-        raise FilterDesignError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    if not (0 < sample_rate_hz < math.inf):
+        raise FilterDesignError(f"sample_rate_hz must be a finite number > 0, got {sample_rate_hz}")
     if not (0.0 < cutoff_hz < sample_rate_hz / 2.0):
         raise FilterDesignError(
             f"cutoff {cutoff_hz} Hz must lie strictly between 0 and "

@@ -53,6 +53,8 @@ class IcaConfig:
         check_number(self.tolerance, "tolerance")
         if self.contrast not in CONTRASTS:
             raise InvalidInputError(f"contrast must be one of {CONTRASTS}, got {self.contrast!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not (0 < self.tolerance < 1):  # the delta 1 - |<w+, w>| never exceeds 1
@@ -71,7 +73,7 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class IcaModel:
-    """Fitted unmixing matrix W (k x k, rows orthonormal in whitened space).
+    """Fitted unmixing matrix W; fit_fastica returns it k x k, rows orthonormal.
 
     mixing_estimate is the estimated mixing back to the original channel
     space (dewhitening composed with W^T) when the fit was given the
@@ -82,19 +84,6 @@ class IcaModel:
     unmixing: np.ndarray
     mixing_estimate: np.ndarray
     convergence: ConvergenceReport
-
-    def __post_init__(self):
-        w = check_matrix(self.unmixing, "unmixing")
-        k = w.shape[0]
-        if w.shape[1] != k:
-            raise DimensionError(f"unmixing must be square, got {w.shape}")
-        if np.abs(w @ w.T - np.eye(k)).max() > 1e-6:
-            raise InvalidInputError("unmixing rows are not orthonormal within 1e-6")
-        a = check_matrix(self.mixing_estimate, "mixing_estimate")
-        if a.shape[1] != k:
-            raise DimensionError(f"mixing_estimate must have {k} columns, got {a.shape}")
-        object.__setattr__(self, "unmixing", w)
-        object.__setattr__(self, "mixing_estimate", a)
 
     @property
     def n_components(self) -> int:

@@ -68,46 +68,22 @@ def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
 class SymEigen:
     """Eigendecomposition of a symmetric matrix.
 
-    eigenvalues are sorted descending; eigenvector columns are orthonormal
-    and sign-normalized.
+    sym_eigen returns the eigenvalues sorted descending and the eigenvector
+    columns orthonormal and sign-normalized.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = check_matrix(self.eigenvectors, "eigenvectors")
-        if vals.ndim != 1 or vals.size != vecs.shape[1]:
-            raise DimensionError("eigenvalue count must match eigenvector columns")
-        if np.any(np.diff(vals) > 1e-12 * max(1.0, abs(float(vals[0])))):
-            raise InvalidInputError("eigenvalues must be sorted descending")
-        gram = vecs.T @ vecs
-        if np.abs(gram - np.eye(vecs.shape[1])).max() > 1e-10:
-            raise InvalidInputError("eigenvectors are not orthonormal within 1e-10")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD: input = U @ diag(D) @ V.T with orthonormal U columns, orthogonal V."""
+    """Thin SVD: input = U @ diag(D) @ V.T; svd returns orthonormal U columns,
+    an orthogonal V, and D nonnegative and sorted descending."""
 
     U: np.ndarray
     D: np.ndarray
     V: np.ndarray
-
-    def __post_init__(self):
-        u = check_matrix(self.U, "U")
-        d = np.asarray(self.D, dtype=float)
-        v = check_matrix(self.V, "V")
-        if d.ndim != 1 or u.shape[1] != d.size or v.shape != (d.size, d.size):
-            raise DimensionError("inconsistent SVD factor shapes")
-        if np.any(d < 0) or np.any(np.diff(d) > 1e-12 * max(1.0, float(d[0]))):
-            raise InvalidInputError("singular values must be nonnegative and sorted descending")
-        object.__setattr__(self, "U", u)
-        object.__setattr__(self, "D", d)
-        object.__setattr__(self, "V", v)
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.D) @ self.V.T

@@ -19,18 +19,13 @@ from .linalg import check_matrix
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Matched component pairs with their correlations, leakage, and Amari index."""
+    """Matched component pairs with their correlations, leakage, and Amari index;
+    match_components gives one correlation, within [-1, 1], and one leakage per pair."""
 
     assignment: tuple  # ((estimated_index, true_index), ...)
     correlations: tuple  # signed, one per pair
     amari_index: float
     leakage: tuple  # one per pair
-
-    def __post_init__(self):
-        if not (len(self.assignment) == len(self.correlations) == len(self.leakage)):
-            raise DimensionError("assignment/correlations/leakage lengths differ")
-        if any(abs(r) > 1.0 + 1e-12 for r in self.correlations):
-            raise InvalidInputError("correlations must lie in [-1, 1]")
 
     def min_abs_correlation(self) -> float:
         return min(abs(r) for r in self.correlations)

@@ -32,33 +32,15 @@ _EIGENVALUE_CLAMP = 1e-12
 class PcaModel:
     """Fitted principal components.
 
-    loadings columns are covariance eigenvectors in descending eigenvalue
-    order; eigenvalues are the per-component score variances.
+    fit_pca returns orthonormal loadings columns, the covariance
+    eigenvectors in descending eigenvalue order; eigenvalues are the
+    per-component score variances, nonnegative; 1 <= retained <= p.
     """
 
     means: np.ndarray
     loadings: np.ndarray
     eigenvalues: np.ndarray
     retained: int
-
-    def __post_init__(self):
-        loadings = check_matrix(self.loadings, "loadings")
-        p = loadings.shape[1]
-        means = np.asarray(self.means, dtype=float)
-        eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        if means.shape != (loadings.shape[0],) or eigenvalues.shape != (p,):
-            raise DimensionError("means/eigenvalues shapes inconsistent with loadings")
-        if np.abs(loadings.T @ loadings - np.eye(p)).max() > 1e-9:
-            raise InvalidInputError("loadings are not orthonormal within 1e-9")
-        if np.any(np.diff(eigenvalues) > 1e-12 * max(1.0, float(eigenvalues[0]))):
-            raise InvalidInputError("eigenvalues must be sorted descending")
-        if np.any(eigenvalues < 0):
-            raise InvalidInputError("eigenvalues must be nonnegative")
-        if not (1 <= self.retained <= p):
-            raise DimensionError(f"retained must be in [1, {p}], got {self.retained}")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "loadings", loadings)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def n_channels(self) -> int:

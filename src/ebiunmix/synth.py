@@ -58,8 +58,10 @@ class MixtureSpec:
         sv = svd(a).D
         if sv[-1] <= 1e-6 * sv[0]:
             raise InvalidInputError("mixing matrix is rank deficient")
-        if self.noise_sigma < 0:
-            raise InvalidInputError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise InvalidInputError(
+                f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}"
+            )
         if not (0.0 <= self.correlation_injection < 1.0):
             raise InvalidInputError(
                 f"correlation_injection must be in [0, 1), got {self.correlation_injection}"
@@ -92,8 +94,8 @@ def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC
     +-jitter_pct/100 per beat. Output is zero-mean unit-variance.
     """
     _check_source(n, rate_hz, fundamental_hz)
-    if jitter_pct < 0:
-        raise InvalidInputError(f"jitter_pct must be >= 0, got {jitter_pct}")
+    if not (0 <= jitter_pct < math.inf):
+        raise InvalidInputError(f"jitter_pct must be a finite number >= 0, got {jitter_pct}")
     rng = np.random.default_rng(seed)
     t = np.arange(n) / rate_hz
     sig = np.zeros(n)

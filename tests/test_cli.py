@@ -170,7 +170,8 @@ class TestRunCommand:
         (("--tol", "1.5"), "tolerance must be in (0, 1), got 1.5"),
         (("--frame-len", "30"),
          "frame_len 30 decimated by 10 leaves 3 samples per frame, fewer than the 4 channels"),
-    ], ids=["tol", "frame-len"])
+        (("--seed", "-1"), "seed must be >= 0, got -1"),
+    ], ids=["tol", "frame-len", "seed"])
     def test_unworkable_config_exits_1(self, tmp_path, capsys, flags, message):
         mixture_path, _ = synth_files(tmp_path)
         capsys.readouterr()

@@ -36,8 +36,9 @@ class TestSignalMatrix:
             SignalMatrix(np.zeros((5, 2)), 100.0, ("only-one",))
 
     def test_rejects_bad_rate(self):
-        with pytest.raises(InvalidInputError):
-            SignalMatrix(np.zeros((5, 2)), 0.0)
+        for rate in (0.0, np.inf, np.nan):
+            with pytest.raises(InvalidInputError, match="sample_rate_hz"):
+                SignalMatrix(np.zeros((5, 2)), rate)
 
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
@@ -157,6 +158,11 @@ class TestButterworthDesign:
     def test_invalid_cutoffs_rejected(self, cutoff):
         with pytest.raises(FilterDesignError):
             design_butterworth_lp2(cutoff, 100.0)
+
+    @pytest.mark.parametrize("rate", [0.0, -100.0, np.inf, np.nan])
+    def test_invalid_rate_rejected(self, rate):
+        with pytest.raises(FilterDesignError, match="sample_rate_hz"):
+            design_butterworth_lp2(40.0, rate)
 
 
 class TestApplyFilter:

@@ -28,6 +28,13 @@ from ebiunmix.pca import fit_pca, whiten
 from oracles import canonical_unmixing, gauss_logcosh_mean
 
 KNOWN_MIXING = np.array([[1.0, 0.5], [0.3, 1.0]])
+# Four sources into four channels: the full-rank shape of ica_only mode.
+FULL_RANK_MIXING = np.array([
+    [1.0, 0.5, 0.2, -0.3],
+    [0.3, 1.0, -0.4, 0.1],
+    [-0.2, 0.6, 1.0, 0.4],
+    [0.5, -0.1, 0.3, 1.0],
+])
 
 
 def raising_on_call(n):
@@ -153,11 +160,13 @@ class TestFitFastica:
         assert np.array_equal(a.unmixing, b.unmixing)
         assert a.convergence.per_iteration_deltas == b.convergence.per_iteration_deltas
 
-    def test_unmixing_rows_orthonormal(self):
-        sources = uniform_sources(4000, seed=10)
-        white, _, _ = whitened_mixture(sources, KNOWN_MIXING)
+    @pytest.mark.parametrize("mixing", [KNOWN_MIXING, FULL_RANK_MIXING], ids=["2x2", "4x4"])
+    def test_unmixing_rows_orthonormal(self, mixing):
+        sources = uniform_sources(4000, seed=10, k=mixing.shape[1])
+        white, _, _ = whitened_mixture(sources, mixing)
         model = fit_fastica(white, IcaConfig(seed=4))
         k = model.n_components
+        assert k == mixing.shape[1]
         assert np.abs(model.unmixing @ model.unmixing.T - np.eye(k)).max() < 1e-8
 
     @pytest.mark.parametrize("failing_call", [2, 3, 4])
@@ -248,6 +257,8 @@ class TestFitFastica:
                 IcaConfig(tolerance=tolerance)
         with pytest.raises(InvalidInputError):
             IcaConfig(max_iterations=0)
+        with pytest.raises(InvalidInputError, match="seed"):
+            IcaConfig(seed=-1)
 
     @pytest.mark.parametrize("field,value", [
         ("max_iterations", 200.0), ("max_iterations", True), ("max_iterations", "200"),

@@ -18,6 +18,14 @@ def collinear_data():
     return np.column_stack([t, 2.0 * t]), t
 
 
+def assert_fit_invariants(model):
+    """What fit_pca guarantees: orthonormal loadings, eigenvalues descending and >= 0."""
+    p = model.loadings.shape[1]
+    assert np.abs(model.loadings.T @ model.loadings - np.eye(p)).max() < 1e-10
+    assert np.all(np.diff(model.eigenvalues) <= 0)
+    assert np.all(model.eigenvalues >= 0)
+
+
 def data_with_covariance_2_1_1_2():
     """3 x 2 matrix whose exact sample covariance is [[2, 1], [1, 2]]."""
     v1 = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -32,6 +40,10 @@ class TestFitPca:
         model = fit_pca(data)
         assert model.eigenvalues[0] == pytest.approx(5.0 * t.var(ddof=1), rel=1e-12)
         assert model.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
+        assert_fit_invariants(model)
+        # With a third collinear channel the smallest covariance eigenvalue
+        # comes out of the eigensolver near -2e-16, and fit_pca clamps it to 0.
+        assert_fit_invariants(fit_pca(np.column_stack([t, 2.0 * t, 2.0 * t])))
 
     def test_isotropic_noise_has_flat_spectrum(self):
         rng = np.random.default_rng(11)
@@ -48,6 +60,7 @@ class TestFitPca:
         d = svd(centered).D
         lam_svd = d**2 / (x.shape[0] - 1)
         assert np.abs(model.eigenvalues - lam_svd).max() < 1e-8 * lam_svd[0]
+        assert_fit_invariants(model)
 
     def test_eigenvalue_equals_score_variance(self, rng):
         x = rng.standard_normal((300, 3)) * [1.0, 2.5, 0.3]

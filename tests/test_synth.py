@@ -105,6 +105,11 @@ class TestMix:
         with pytest.raises(InvalidInputError):
             MixtureSpec(mixing=np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0], [3.0, 6.0]]))
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(InvalidInputError, match="noise_sigma"):
+            MixtureSpec(noise_sigma=sigma)
+
     def test_source_count_mismatch_rejected(self, rng):
         with pytest.raises(InvalidInputError):
             mix(rng.standard_normal((10, 3)), MixtureSpec(), seed=0)
@@ -149,6 +154,8 @@ class TestScenario:
         {"resp_hz": 500.0},
         {"jitter_pct": -1.0},
         {"harmonics": 0},
+        {"jitter_pct": float("nan")},
+        {"jitter_pct": float("inf")},
     ])
     def test_bad_source_parameter_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
