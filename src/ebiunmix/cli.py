@@ -95,9 +95,12 @@ def _resolve_seed(flag_value, file_value):
     if file_value is not None:
         return file_value
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise InvalidInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _given(**flags) -> dict:
@@ -236,6 +239,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_filter_design(args) -> int:
+    if args.points < 1:
+        raise InvalidInputError(f"--points must be >= 1, got {args.points}")
     coeffs = design_butterworth_lp2(args.cutoff_hz, args.rate)
     print(f"# 2nd-order Butterworth low-pass, cutoff {args.cutoff_hz} Hz @ {args.rate} Hz")
     for name in ("b0", "b1", "b2", "a1", "a2"):

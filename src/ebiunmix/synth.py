@@ -25,7 +25,7 @@ import numpy as np
 
 from .dsp import SignalMatrix
 from .errors import InvalidInputError
-from .linalg import check_matrix, svd
+from .linalg import check_matrix, check_number, svd
 
 CARDIAC_DEFAULT_HZ = 1.2
 RESPIRATORY_DEFAULT_HZ = 0.25
@@ -196,6 +196,9 @@ def default_scenario(
         the two sources exactly as mixed (so a perfect unmixer scores
         correlation 1 against it), labeled "cardiac" and "respiratory".
     """
+    check_number(seed, "seed", integral=True)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     mix_spec = MixtureSpec(
         mixing=np.array(DEFAULT_MIXING) if mixing is None else np.asarray(mixing, dtype=float),
         noise_sigma=noise_sigma,

@@ -52,6 +52,31 @@ class TestSynthCommand:
             write_csv(expected, tmp_path / "expected.csv")
             assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, monkeypatch, via_env):
+        flags = ()
+        if via_env:
+            monkeypatch.setenv("EBI_UNMIX_SEED", "-1")
+        else:
+            flags = ("--seed", "-1")
+        assert run_cli("synth", "--out-dir", str(tmp_path), "--n", "1000", *flags) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["abc", "float", "empty"])
+@pytest.mark.parametrize("command", ["run", "synth"])
+def test_non_integer_env_seed_exits_1(tmp_path, capsys, monkeypatch, command, value):
+    argv = ["synth", "--out-dir", str(tmp_path / "out"), "--n", "1000"]
+    if command == "run":
+        mixture_path, _ = synth_files(tmp_path)
+        argv = ["run", "--input", str(mixture_path), "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    monkeypatch.setenv("EBI_UNMIX_SEED", value)
+    assert run_cli(*argv) == 1
+    assert f"error: EBI_UNMIX_SEED must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 class TestWriterBytes:
     """Both CSV writers produce exactly the bytes of a row-by-row %.17g formatter."""
@@ -318,6 +343,14 @@ class TestFilterDesignCommand:
         assert "b0 = " in out and "a2 = " in out
         table = [line for line in out.splitlines() if line and line[0].isdigit()]
         assert len(table) == 10
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_1_rejected(self, capsys, points):
+        code = run_cli("filter-design", "--cutoff-hz", "40", "--rate", "100", "--points", points)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: --points must be >= 1, got {points}" in captured.err
+        assert captured.out == ""
 
     def test_bad_design_reports_error(self, capsys):
         code = run_cli("filter-design", "--cutoff-hz", "60", "--rate", "100")

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from ebiunmix import fastica
 from ebiunmix.errors import (
@@ -272,6 +274,51 @@ class TestFitFastica:
     def test_numpy_numbers_accepted(self):
         config = IcaConfig(max_iterations=np.int64(50), tolerance=np.float32(1e-4), seed=np.int32(3))
         assert config.max_iterations == 50
+
+
+class TestSymmetricDecorrelate:
+    @given(
+        k=st.integers(1, 4),
+        log_cond=st.floats(0.0, 5.0),
+        log_scale=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # its spectral pass ends 2.7e-3 from orthonormal: two polish steps leave 1e-10
+    @example(k=3, log_cond=5.0, log_scale=1.0, seed=168)
+    def test_rows_orthonormal_and_polar_factor(self, k, log_cond, log_scale, seed):
+        # W = Q1 diag(s) Q2 with cond(W) = 10^log_cond, largest s = 10^log_scale
+        rng = np.random.default_rng(seed)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+        spread = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(k - 2, 0))])[:k]
+        s = 10.0 ** (log_scale - log_cond * spread)
+        assume(s.min() ** 2 > 10 * fastica._DECORRELATION_EIGENVALUE_FLOOR)
+        w = q1 @ np.diag(s) @ q2
+        out = fastica._symmetric_decorrelate(w)
+        assert np.abs(out @ out.T - np.eye(k)).max() <= 1e-14
+        if log_cond <= 2.0:  # (W W^T)^(-1/2) W is the polar factor U V^T of W
+            u, _, vt = np.linalg.svd(w)
+            assert np.abs(out - u @ vt).max() <= 1e-9
+
+    @pytest.mark.parametrize("smallest", [0.0, 1e-9])
+    def test_numerically_singular_raises(self, rng, smallest):
+        q1, q2 = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+        w = q1 @ np.diag([1.0, 0.5, 0.2, smallest]) @ q2
+        with pytest.raises(DegenerateComponentError):
+            fastica._symmetric_decorrelate(w)
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        calls = []
+        real = fastica.sym_eigen
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(fastica, "sym_eigen", counting)
+        white, _, _ = whitened_mixture(uniform_sources(4000, seed=10, k=4), FULL_RANK_MIXING)
+        model = fit_fastica(white, IcaConfig(seed=4))
+        # one call decorrelates the random start, one each update
+        assert len(calls) == model.convergence.iterations_used + 1
 
 
 class TestSeparate:

@@ -156,6 +156,8 @@ class TestScenario:
         {"harmonics": 0},
         {"jitter_pct": float("nan")},
         {"jitter_pct": float("inf")},
+        {"seed": -1},
+        {"seed": 1.5},
     ])
     def test_bad_source_parameter_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
