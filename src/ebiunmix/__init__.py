@@ -27,7 +27,7 @@ from .linalg import (
     svd,
     sym_eigen,
 )
-from .metrics import SeparationReport, amari_index, match_components, pearson
+from .metrics import SeparationReport, amari_index, match_components
 from .pca import PcaModel, explained_variance, fit_pca, project, whiten
 from .pipeline import (
     FrameResult,
@@ -39,7 +39,6 @@ from .pipeline import (
     write_csv,
 )
 from .synth import (
-    MixtureSpec,
     default_scenario,
     effective_sources,
     gen_cardiac,
@@ -55,7 +54,6 @@ __all__ = [
     "FrameResult",
     "IcaConfig",
     "IcaModel",
-    "MixtureSpec",
     "PcaModel",
     "PipelineConfig",
     "RunReport",
@@ -80,7 +78,6 @@ __all__ = [
     "gen_respiratory",
     "match_components",
     "mix",
-    "pearson",
     "process_frame",
     "project",
     "read_csv",

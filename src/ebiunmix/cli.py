@@ -224,6 +224,11 @@ def _cmd_synth(args) -> int:
 def _cmd_eval(args) -> int:
     components = _drop_time_column(read_csv(args.components))
     truth = _drop_time_column(read_csv(args.truth))
+    if truth.sample_rate_hz != components.sample_rate_hz:
+        raise InvalidInputError(
+            f"truth is sampled at {truth.sample_rate_hz} Hz, "
+            f"components at {components.sample_rate_hz} Hz"
+        )
     report = match_components(components.samples, truth.samples)
     payload = asdict(report)
     payload["estimated_labels"] = list(components.channel_labels)

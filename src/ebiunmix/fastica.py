@@ -8,7 +8,7 @@ update
 applied to all rows at once, each step followed by symmetric decorrelation
 W <- (W W^T)^(-1/2) W, so every component is treated equally (Hyvarinen
 1999, "Fast and robust fixed-point algorithms for ICA"): one spectral pass,
-polished by three Newton-Schulz steps (Hyvarinen & Oja 2000).
+polished by Newton-Schulz steps (Hyvarinen & Oja 2000).
 
 The usual ICA sign/permutation ambiguity is canonicalized after
 convergence: components are ordered by descending non-Gaussianity score
@@ -39,6 +39,8 @@ CONTRASTS = ("logcosh", "pow3")
 _WHITENESS_TOL = 1e-3
 _SKEWNESS_TOL = 1e-3
 _DECORRELATION_EIGENVALUE_FLOOR = 1e-12
+_ORTHONORMAL_TOL = 1e-14
+_POLISH_MAX_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,18 @@ def _logcosh(u: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W: one spectral pass, then three Newton-Schulz steps.
+    """W <- (W W^T)^(-1/2) W: one spectral pass, then Newton-Schulz steps.
 
     Jacobi's stopping threshold (JACOBI_OFF_DIAG_TOL of the norm) can leave
     the pass up to ~1e-12 * cond(W)^2 from orthonormal, 1e-2 at cond 1e5.
     A step W <- 3/2 W - 1/2 W W^T W maps an error E to ~3/4 E^2, so three
-    steps take 1e-2 to round-off (two leave ~4e-9).
+    steps take 1e-2 to round-off (two leave ~4e-9). Near cond 1e6 the pass
+    can end further out, so stepping goes on, up to _POLISH_MAX_STEPS in
+    all, until max |W W^T - I| <= _ORTHONORMAL_TOL.
+
+    Raises:
+        DegenerateComponentError: W W^T is numerically singular, or the
+            rows are not orthonormal after _POLISH_MAX_STEPS steps.
     """
     eig = sym_eigen(w @ w.T)
     if float(eig.eigenvalues[-1]) <= _DECORRELATION_EIGENVALUE_FLOOR:
@@ -129,9 +137,19 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
         )
     v = eig.eigenvectors
     w = (v / np.sqrt(eig.eigenvalues)) @ v.T @ w
-    for _ in range(3):
-        w = 1.5 * w - 0.5 * (w @ w.T) @ w
-    return w
+    eye = np.eye(w.shape[0])
+    wwt = w @ w.T
+    for steps in range(1, _POLISH_MAX_STEPS + 1):
+        w = 1.5 * w - 0.5 * wwt @ w
+        wwt = w @ w.T
+        # three steps always run; a NaN error fails the test and keeps stepping
+        if steps >= 3 and np.abs(wwt - eye).max() <= _ORTHONORMAL_TOL:
+            return w
+    raise DegenerateComponentError(
+        f"unmixing rows not orthonormal after {_POLISH_MAX_STEPS} Newton-Schulz steps "
+        f"(max |W W^T - I| = {np.abs(wwt - eye).max():.3e})",
+        component=int(np.argmax(np.abs(wwt - eye).max(axis=1))),
+    )
 
 
 def _check_white(x: np.ndarray) -> None:

@@ -85,9 +85,6 @@ class SvdResult:
     D: np.ndarray
     V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.D) @ self.V.T
-
 
 def center_columns(data) -> tuple[np.ndarray, np.ndarray]:
     """Subtract each column's mean.

@@ -27,9 +27,6 @@ class SeparationReport:
     amari_index: float
     leakage: tuple  # one per pair
 
-    def min_abs_correlation(self) -> float:
-        return min(abs(r) for r in self.correlations)
-
 
 def _correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sample correlation of every column of x with every column of y, clipped to [-1, 1].
@@ -49,13 +46,6 @@ def _correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise UndefinedCorrelationError("correlation undefined for zero-variance input")
     k = x.shape[1]
     return np.clip(gram[:k, k:] / np.sqrt(np.outer(ss[:k], ss[k:])), -1.0, 1.0)
-
-
-def pearson(x, y) -> float:
-    """Sample correlation coefficient, clipped to [-1, 1]."""
-    x = check_matrix(np.reshape(x, (-1, 1)), "x")
-    y = check_matrix(np.reshape(y, (-1, 1)), "y")
-    return float(_correlations(x, y)[0, 0])
 
 
 def _amari_of(p: np.ndarray) -> float:

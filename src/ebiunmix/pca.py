@@ -3,9 +3,6 @@
 The fit route is the covariance path (p x p symmetric eigenproblem), which
 is the cheap direction when n >> p; the SVD route exists in linalg and is
 cross-checked against this one in the test suite.
-
-The default retained dimension is 2 (one cardiac and one respiratory target
-source); callers can override it.
 """
 
 from dataclasses import dataclass
@@ -21,8 +18,6 @@ from .errors import (
 )
 from .linalg import center_columns, check_matrix, covariance, sym_eigen
 
-DEFAULT_RETAINED = 2
-
 # Eigenvalues this far below zero (relative to the largest) are floating-point
 # noise and are clamped to 0; anything more negative indicates a broken input.
 _EIGENVALUE_CLAMP = 1e-12
@@ -34,13 +29,12 @@ class PcaModel:
 
     fit_pca returns orthonormal loadings columns, the covariance
     eigenvectors in descending eigenvalue order; eigenvalues are the
-    per-component score variances, nonnegative; 1 <= retained <= p.
+    per-component score variances, nonnegative.
     """
 
     means: np.ndarray
     loadings: np.ndarray
     eigenvalues: np.ndarray
-    retained: int
 
     @property
     def n_channels(self) -> int:
@@ -53,13 +47,18 @@ def _samples(data) -> np.ndarray:
     return check_matrix(data, "data")
 
 
-def fit_pca(data, retained: int | None = None) -> PcaModel:
-    """Fit principal components from the sample covariance of `data`.
+def _check_k(model: PcaModel, k: int, x: np.ndarray | None = None) -> None:
+    """Reject k outside [1, p], and samples x whose channel count is not the model's p."""
+    p = model.n_channels
+    if not (1 <= k <= p):
+        raise DimensionError(f"k must be in [1, {p}], got {k}")
+    if x is not None and x.shape[1] != p:
+        raise DimensionError(f"data has {x.shape[1]} channels, model has {p}")
 
-    Args:
-        data: SignalMatrix or (n x p) array, n >= p.
-        retained: dimension to keep; defaults to min(2, p).
-    """
+
+def fit_pca(data) -> PcaModel:
+    """Fit principal components from the sample covariance of `data`, a
+    SignalMatrix or (n x p) array with n >= p."""
     x = _samples(data)
     n, p = x.shape
     if n < p:
@@ -71,24 +70,13 @@ def fit_pca(data, retained: int | None = None) -> PcaModel:
     floor = -_EIGENVALUE_CLAMP * max(1.0, float(lam[0]))
     if np.any(lam < floor):
         raise InvalidInputError(f"covariance produced eigenvalue {lam.min():.3e} below clamp range")
-    lam = np.clip(lam, 0.0, None)
-
-    if retained is not None:
-        if not (1 <= retained <= p):
-            raise DimensionError(f"retained must be in [1, {p}], got {retained}")
-        k = int(retained)
-    else:
-        k = min(DEFAULT_RETAINED, p)
-    return PcaModel(means=means, loadings=eig.eigenvectors, eigenvalues=lam, retained=k)
+    return PcaModel(means=means, loadings=eig.eigenvectors, eigenvalues=np.clip(lam, 0.0, None))
 
 
 def project(model: PcaModel, data, k: int) -> np.ndarray:
     """Scores on the first k components: (data - means) @ loadings[:, :k]."""
     x = _samples(data)
-    if not (1 <= k <= model.n_channels):
-        raise DimensionError(f"k must be in [1, {model.n_channels}], got {k}")
-    if x.shape[1] != model.n_channels:
-        raise DimensionError(f"data has {x.shape[1]} channels, model has {model.n_channels}")
+    _check_k(model, k, x)
     return (x - model.means) @ model.loadings[:, :k]
 
 
@@ -98,16 +86,13 @@ def whiten(model: PcaModel, data, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     Returns:
         (white, whitening, dewhitening): white = (data - means) @ whitening
         has identity sample covariance; white @ dewhitening + means is the
-        rank-k reconstruction of the data.
+        rank-k approximation of the data.
 
     Raises:
         DegenerateComponentError: a retained eigenvalue is numerically zero.
     """
     x = _samples(data)
-    if not (1 <= k <= model.n_channels):
-        raise DimensionError(f"k must be in [1, {model.n_channels}], got {k}")
-    if x.shape[1] != model.n_channels:
-        raise DimensionError(f"data has {x.shape[1]} channels, model has {model.n_channels}")
+    _check_k(model, k, x)
     lam = model.eigenvalues[:k]
     cutoff = _EIGENVALUE_CLAMP * max(float(model.eigenvalues[0]), 0.0)
     bad = np.flatnonzero(lam <= cutoff)
@@ -126,8 +111,7 @@ def whiten(model: PcaModel, data, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def explained_variance(model: PcaModel, k: int) -> float:
     """Fraction of total variance carried by the first k components."""
-    if not (1 <= k <= model.n_channels):
-        raise DimensionError(f"k must be in [1, {model.n_channels}], got {k}")
+    _check_k(model, k)
     total = float(model.eigenvalues.sum())
     if total <= 0.0:
         return 1.0

@@ -134,6 +134,7 @@ def run_pipeline(
             the rate the filter runs at; raised once, before framing.
         InsufficientDataError: a decimated frame has fewer samples than the
             signal has channels; raised once, before framing.
+        InvalidInputError: truth is sampled at a different rate than signal.
     """
     if signal.n_channels < config.retained_components:
         raise DimensionError(
@@ -160,6 +161,11 @@ def run_pipeline(
         if truth.n_samples != signal.n_samples:
             raise DimensionError(
                 f"truth has {truth.n_samples} samples, signal has {signal.n_samples}"
+            )
+        if truth.sample_rate_hz != signal.sample_rate_hz:
+            raise InvalidInputError(
+                f"truth is sampled at {truth.sample_rate_hz} Hz, "
+                f"signal at {signal.sample_rate_hz} Hz"
             )
         truth_frames = frame_signal(truth, config.frame_len)
 
@@ -195,23 +201,19 @@ def process_frame(
         )
 
         stage = "pca"
-        model = fit_pca(processed, retained=config.retained_components)
+        model = fit_pca(processed)
         result.eigenvalues = model.eigenvalues.tolist()
+        # ica_only whitens at full rank, mirroring the "no PCA reduction" trial
+        k = processed.n_channels if config.mode == "ica_only" else config.retained_components
+        result.retained = k
+        result.explained_variance = explained_variance(model, k)  # rejects k > channels
 
         if config.mode == "pca_only":
-            k = model.retained
-            result.retained = k
-            result.explained_variance = explained_variance(model, k)
             scores = project(model, processed, k)
             out = SignalMatrix(
                 scores, processed.sample_rate_hz, tuple(f"pc{i + 1}" for i in range(k))
             )
         else:
-            # ica_only whitens at full rank, mirroring the "no PCA reduction" trial
-            k = processed.n_channels if config.mode == "ica_only" else model.retained
-            result.retained = k
-            result.explained_variance = explained_variance(model, k)
-
             stage = "whiten"
             white, _, dewhitening = whiten(model, processed, k)
 

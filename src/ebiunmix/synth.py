@@ -19,7 +19,6 @@ global random state.
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,34 +38,6 @@ DEFAULT_MIXING = (
     (0.9, -0.4),
     (-0.3, 1.1),
 )
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """How sources are combined into channels."""
-
-    mixing: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_MIXING))
-    noise_sigma: float = 0.0
-    correlation_injection: float = 0.0
-
-    def __post_init__(self):
-        a = check_matrix(self.mixing, "mixing")
-        if a.shape[1] > a.shape[0]:
-            raise InvalidInputError(
-                f"mixing needs at least as many channels as sources, got {a.shape}"
-            )
-        sv = svd(a).D
-        if sv[-1] <= 1e-6 * sv[0]:
-            raise InvalidInputError("mixing matrix is rank deficient")
-        if not (0 <= self.noise_sigma < math.inf):
-            raise InvalidInputError(
-                f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}"
-            )
-        if not (0.0 <= self.correlation_injection < 1.0):
-            raise InvalidInputError(
-                f"correlation_injection must be in [0, 1), got {self.correlation_injection}"
-            )
-        object.__setattr__(self, "mixing", a)
 
 
 def _normalize(x: np.ndarray) -> np.ndarray:
@@ -137,7 +108,7 @@ def gen_respiratory(n: int, rate_hz: float, seed, *,
     return _normalize(sig)
 
 
-def effective_sources(sources, spec: MixtureSpec) -> np.ndarray:
+def effective_sources(sources, correlation_injection: float) -> np.ndarray:
     """Sources as actually mixed, after correlation injection.
 
     Column 0 is taken as the cardiac source, column 1 as respiratory. With
@@ -145,7 +116,9 @@ def effective_sources(sources, spec: MixtureSpec) -> np.ndarray:
     baseline, multiplied by (1 + c * respiratory), and re-centered.
     """
     s = check_matrix(sources, "sources")
-    c = spec.correlation_injection
+    c = correlation_injection
+    if not (0.0 <= c < 1.0):
+        raise InvalidInputError(f"correlation_injection must be in [0, 1), got {c}")
     if c <= 0.0 or s.shape[1] < 2:
         return s
     s = s.copy()
@@ -155,22 +128,27 @@ def effective_sources(sources, spec: MixtureSpec) -> np.ndarray:
     return s
 
 
-def mix(sources, spec: MixtureSpec, seed, rate_hz: float = 1000.0) -> SignalMatrix:
+def mix(sources, mixing, seed, rate_hz: float = 1000.0, noise_sigma: float = 0.0) -> SignalMatrix:
     """Combine source columns into channels: sources @ mixing^T + noise.
 
-    Applies correlation injection first (see effective_sources). The noise is
-    iid Gaussian with spec.noise_sigma, drawn from the given seed.
+    mixing is (channels x sources) with full column rank; the noise is iid
+    Gaussian with noise_sigma, drawn from the given seed.
     """
     s = check_matrix(sources, "sources")
-    if spec.mixing.shape[1] != s.shape[1]:
-        raise InvalidInputError(
-            f"mixing expects {spec.mixing.shape[1]} sources, got {s.shape[1]}"
-        )
-    s = effective_sources(s, spec)
-    channels = s @ spec.mixing.T
-    if spec.noise_sigma > 0.0:
+    a = check_matrix(mixing, "mixing")
+    if a.shape[1] > a.shape[0]:
+        raise InvalidInputError(f"mixing needs at least as many channels as sources, got {a.shape}")
+    sv = svd(a).D
+    if sv[-1] <= 1e-6 * sv[0]:
+        raise InvalidInputError("mixing matrix is rank deficient")
+    if not (0 <= noise_sigma < math.inf):
+        raise InvalidInputError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
+    if a.shape[1] != s.shape[1]:
+        raise InvalidInputError(f"mixing expects {a.shape[1]} sources, got {s.shape[1]}")
+    channels = s @ a.T
+    if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        channels = channels + spec.noise_sigma * rng.standard_normal(channels.shape)
+        channels = channels + noise_sigma * rng.standard_normal(channels.shape)
     return SignalMatrix(channels, rate_hz)
 
 
@@ -199,20 +177,11 @@ def default_scenario(
     check_number(seed, "seed", integral=True)
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    mix_spec = MixtureSpec(
-        mixing=np.array(DEFAULT_MIXING) if mixing is None else np.asarray(mixing, dtype=float),
-        noise_sigma=noise_sigma,
-        correlation_injection=correlation_injection,
-    )
     seed_cardiac, seed_resp, seed_noise = np.random.SeedSequence(seed).spawn(3)
-    sources = np.column_stack(
-        [
-            gen_cardiac(n, rate_hz, seed_cardiac, fundamental_hz=cardiac_hz, jitter_pct=jitter_pct),
-            gen_respiratory(n, rate_hz, seed_resp, fundamental_hz=resp_hz, harmonics=harmonics),
-        ]
-    )
-    truth = SignalMatrix(
-        effective_sources(sources, mix_spec), rate_hz, ("cardiac", "respiratory")
-    )
-    mixture = mix(sources, mix_spec, seed_noise, rate_hz)
-    return mixture, truth
+    sources = effective_sources(np.column_stack([
+        gen_cardiac(n, rate_hz, seed_cardiac, fundamental_hz=cardiac_hz, jitter_pct=jitter_pct),
+        gen_respiratory(n, rate_hz, seed_resp, fundamental_hz=resp_hz, harmonics=harmonics),
+    ]), correlation_injection)
+    mixture = mix(sources, DEFAULT_MIXING if mixing is None else mixing, seed_noise, rate_hz,
+                  noise_sigma)
+    return mixture, SignalMatrix(sources, rate_hz, ("cardiac", "respiratory"))

@@ -40,7 +40,7 @@ def test_criterion_1_whitening_correctness():
             data = rng.standard_normal((5000, 4)) @ (
                 rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
             )
-            model = fit_pca(data, retained=4)
+            model = fit_pca(data)
             white, _, _ = whiten(model, data, 4)
             cov = white.T @ white / (len(white) - 1)
             worst = max(worst, float(np.abs(cov - np.eye(4)).max()))

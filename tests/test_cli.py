@@ -63,6 +63,14 @@ class TestSynthCommand:
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--noise-sigma", "inf"), ("--correlation-injection", "1.0"),
+    ])
+    def test_bad_mixture_flag_exits_1(self, tmp_path, capsys, flag, value):
+        assert run_cli("synth", "--out-dir", str(tmp_path), "--n", "1000", flag, value) == 1
+        assert f"error: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize("value", ["abc", "1.5", ""], ids=["abc", "float", "empty"])
 @pytest.mark.parametrize("command", ["run", "synth"])
@@ -333,6 +341,18 @@ class TestEvalCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["assignment"] == [[0, 1], [1, 0]]
+
+    def test_truth_rate_mismatch_exits_1(self, tmp_path, capsys):
+        x = np.random.default_rng(0).standard_normal((500, 2))
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_csv(SignalMatrix(x, 100.0), a)
+        write_csv(SignalMatrix(x, 1000.0), b)
+        code = run_cli("eval", "--components", str(a), "--truth", str(b))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: truth is sampled at 1000.0 Hz, components at 100.0 Hz" in captured.err
+        assert captured.out == ""
 
 
 class TestFilterDesignCommand:

@@ -73,7 +73,7 @@ class TestFitPca:
         mixture, _ = default_scenario(n=2000, seed=1)
         model = fit_pca(mixture)
         assert model.n_channels == 4
-        assert model.retained == 2
+        assert np.array_equal(model.eigenvalues, fit_pca(mixture.samples).eigenvalues)
 
     def test_more_channels_than_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -136,6 +136,21 @@ class TestProject:
         model = fit_pca(data)
         with pytest.raises(DimensionError):
             project(model, data, 3)
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_every_k_taker_rejects_k_out_of_range(self, k):
+        data, _ = collinear_data()
+        model = fit_pca(data)
+        for call in (lambda: project(model, data, k), lambda: whiten(model, data, k),
+                     lambda: explained_variance(model, k)):
+            with pytest.raises(DimensionError, match=f"k must be in \\[1, 2\\], got {k}"):
+                call()
+
+    def test_channel_mismatch_rejected(self, rng):
+        model = fit_pca(rng.standard_normal((50, 3)))
+        for call in (project, whiten):
+            with pytest.raises(DimensionError, match="data has 2 channels, model has 3"):
+                call(model, rng.standard_normal((50, 2)), 2)
 
 
 class TestWhiten:

@@ -162,6 +162,13 @@ class TestRunPipeline:
         with pytest.raises(DimensionError):
             run_pipeline(mixture, PipelineConfig(), short)
 
+    def test_truth_rate_mismatch_rejected(self):
+        mixture, truth = default_scenario(n=25000, seed=0)
+        slow = SignalMatrix(truth.samples, 250.0, truth.channel_labels)
+        message = "truth is sampled at 250.0 Hz, signal at 1000.0 Hz"
+        with pytest.raises(InvalidInputError, match=message):
+            run_pipeline(mixture, PipelineConfig(), slow)
+
     @pytest.mark.parametrize("field,value", [
         ("frame_len", 5000.0), ("frame_len", True), ("decimation_factor", "10"),
         ("retained_components", 2.0), ("cutoff_hz", "40"), ("cutoff_hz", False),
@@ -179,6 +186,14 @@ class TestRunPipeline:
         sig = SignalMatrix(np.random.default_rng(0).standard_normal((100, 1)), 100.0)
         with pytest.raises(DimensionError):
             run_pipeline(sig, PipelineConfig(retained_components=2))
+
+    @pytest.mark.parametrize("mode", ["pca_only", "pca_then_ica"])
+    def test_frame_with_fewer_channels_than_retained_fails_at_pca(self, mode):
+        frame = SignalMatrix(np.random.default_rng(0).standard_normal((1000, 3)), 1000.0)
+        components, result = process_frame(frame, PipelineConfig(retained_components=4, mode=mode))
+        assert components is None
+        assert result.stage == "pca"
+        assert result.error.startswith("DimensionError:")
 
     def test_short_signal_warns_and_produces_nothing(self):
         sig = SignalMatrix(np.zeros((10, 4)), 1000.0)
