@@ -22,8 +22,6 @@ from .fastica import (
 from .linalg import (
     SvdResult,
     SymEigen,
-    center_columns,
-    covariance,
     svd,
     sym_eigen,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "SymEigen",
     "amari_index",
     "apply_filter",
-    "center_columns",
-    "covariance",
     "decimate",
     "default_scenario",
     "design_butterworth_lp2",

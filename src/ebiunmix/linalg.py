@@ -1,12 +1,13 @@
-"""Dense real matrix primitives: centering, covariance, symmetric eigen, SVD.
+"""Dense real matrix primitives: input checks, symmetric eigen, SVD.
 
 Matrices are plain 2-D float ndarrays, validated at operation boundaries
-(finite entries, at least one row and column). The channel count p is tiny
-(4 in the target application, never more than a handful), so the
+(real, finite entries, at least one row and column). The channel count p
+is tiny (4 in the target application, never more than a handful), so the
 eigensolver is a cyclic Jacobi iteration: provably convergent, simple, and
 exact enough that every downstream tolerance is met with a wide margin.
 The SVD is computed through the p x p Gram matrix rather than
-bidiagonalization, which is both simpler and faster when n >> p.
+bidiagonalization, which is both simpler and faster when n >> p; it needs
+full column rank.
 
 Sign convention: every eigenvector / right-singular-vector column is
 normalized so its largest-magnitude entry is positive, making outputs
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    InsufficientDataError,
     InvalidInputError,
     JacobiConvergenceError,
 )
@@ -31,16 +31,22 @@ from .errors import (
 JACOBI_OFF_DIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
-# Singular values below this fraction of the largest are treated as exactly
-# zero so rank deficiency cannot leak NaN into downstream stages.
+# svd rejects a matrix whose smallest singular value is at or below this
+# fraction of the largest: U = Y V / d would divide by a zero or noise-level d.
 SVD_RANK_TOL = 1e-12
 
 _SYMMETRY_TOL = 1e-9
 
 
 def check_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-D float matrix (>=1 row, >=1 col, all finite)."""
-    a = np.asarray(data, dtype=float)
+    """Validate and return a 2-D float matrix (>=1 row, >=1 col, real, all finite)."""
+    a = np.asarray(data)
+    if np.iscomplexobj(a):
+        raise InvalidInputError(
+            f"{name} is complex; pass each complex channel as two real columns "
+            f"(real and imaginary part)"
+        )
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -79,33 +85,11 @@ class SymEigen:
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD: input = U @ diag(D) @ V.T; svd returns orthonormal U columns,
-    an orthogonal V, and D nonnegative and sorted descending."""
+    an orthogonal V, and D positive and sorted descending."""
 
     U: np.ndarray
     D: np.ndarray
     V: np.ndarray
-
-
-def center_columns(data) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each column's mean.
-
-    Returns:
-        (centered, means): centered matrix of the same shape, and the vector
-        of per-column arithmetic means.
-    """
-    a = check_matrix(data, "data")
-    means = a.mean(axis=0)
-    return a - means, means
-
-
-def covariance(centered) -> np.ndarray:
-    """Sample covariance (1/(n-1)) X^T X of an already column-centered matrix."""
-    x = check_matrix(centered, "centered")
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
-    c = x.T @ x / (n - 1)
-    return 0.5 * (c + c.T)
 
 
 def sym_eigen(m) -> SymEigen:
@@ -163,15 +147,15 @@ def sym_eigen(m) -> SymEigen:
 
 
 def svd(data) -> SvdResult:
-    """Thin SVD of a tall matrix via eigendecomposition of the p x p Gram matrix.
+    """Thin SVD of a tall, full-column-rank matrix via the p x p Gram matrix.
 
-    Singular values are sqrt of the Gram eigenvalues; U columns come from
-    Y V / d. Singular values below SVD_RANK_TOL times the largest are set to
-    exactly zero and their U columns are filled by Gram-Schmidt against the
-    existing columns, so rank-deficient input never produces NaN.
+    Singular values are the square roots of the Gram eigenvalues, V its
+    eigenvectors, and U = Y V / d.
 
     Raises:
         DimensionError: fewer rows than columns.
+        InvalidInputError: rank deficient, the smallest singular value at or
+            below SVD_RANK_TOL times the largest (an all-zero matrix included).
     """
     y = check_matrix(data, "data")
     n, p = y.shape
@@ -180,42 +164,9 @@ def svd(data) -> SvdResult:
 
     eig = sym_eigen(y.T @ y)
     d = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    if d[-1] <= SVD_RANK_TOL * d[0]:
+        raise InvalidInputError(
+            f"matrix is rank deficient: singular values {d[0]:.3e} to {d[-1]:.3e}"
+        )
     v = eig.eigenvectors
-
-    d_max = float(d[0])
-    zero = d <= SVD_RANK_TOL * d_max if d_max > 0.0 else np.ones(p, dtype=bool)
-    d = np.where(zero, 0.0, d)
-
-    u = np.zeros((n, p))
-    for j in range(p):
-        if not zero[j]:
-            u[:, j] = y @ v[:, j] / d[j]
-    if zero.any():
-        u = _fill_orthonormal_columns(u, np.flatnonzero(zero), np.flatnonzero(~zero))
-    return SvdResult(u, d, v)
-
-
-def _fill_orthonormal_columns(u: np.ndarray, empty: np.ndarray, filled: np.ndarray) -> np.ndarray:
-    """Fill the `empty` columns of u with unit vectors orthogonal to all others."""
-    n = u.shape[0]
-    u = u.copy()
-    taken = list(filled)
-    for j in empty:
-        for basis in range(n):
-            cand = np.zeros(n)
-            cand[basis] = 1.0
-            # two Gram-Schmidt passes keep orthogonality at round-off level
-            for _ in range(2):
-                for k in taken:
-                    cand -= (u[:, k] @ cand) * u[:, k]
-            nrm = float(np.linalg.norm(cand))
-            if nrm > 0.5:
-                cand /= nrm
-                if cand[int(np.argmax(np.abs(cand)))] < 0:
-                    cand = -cand
-                u[:, j] = cand
-                taken.append(j)
-                break
-        else:
-            raise InvalidInputError("could not complete orthonormal basis")
-    return u
+    return SvdResult(y @ v / d, d, v)

@@ -1,8 +1,9 @@
 """Principal component analysis: fit, project, reduce dimension, whiten.
 
-The fit route is the covariance path (p x p symmetric eigenproblem), which
-is the cheap direction when n >> p; the SVD route exists in linalg and is
-cross-checked against this one in the test suite.
+fit_pca centers the columns, forms the sample covariance (1/(n-1)) X^T X
+and solves that p x p symmetric eigenproblem, which is the cheap direction
+when n >> p; the SVD route exists in linalg and is cross-checked against
+this one in the test suite.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .linalg import center_columns, check_matrix, covariance, sym_eigen
+from .linalg import check_matrix, sym_eigen
 
 # Eigenvalues this far below zero (relative to the largest) are floating-point
 # noise and are clamped to 0; anything more negative indicates a broken input.
@@ -58,13 +59,16 @@ def _check_k(model: PcaModel, k: int, x: np.ndarray | None = None) -> None:
 
 def fit_pca(data) -> PcaModel:
     """Fit principal components from the sample covariance of `data`, a
-    SignalMatrix or (n x p) array with n >= p."""
+    SignalMatrix or (n x p) array with n >= max(p, 2)."""
     x = _samples(data)
     n, p = x.shape
-    if n < p:
-        raise InsufficientDataError(f"need at least as many samples as channels, got {x.shape}")
-    centered, means = center_columns(x)
-    eig = sym_eigen(covariance(centered))
+    if n < max(p, 2):
+        raise InsufficientDataError(
+            f"need at least 2 samples and as many samples as channels, got {x.shape}"
+        )
+    means = x.mean(axis=0)
+    centered = x - means
+    eig = sym_eigen(centered.T @ centered / (n - 1))  # sym_eigen symmetrises
 
     lam = eig.eigenvalues
     floor = -_EIGENVALUE_CLAMP * max(1.0, float(lam[0]))

@@ -49,6 +49,7 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _check_source(n: int, rate_hz: float, fundamental_hz: float) -> None:
+    check_number(n, "n", integral=True)
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not (0.0 < fundamental_hz < rate_hz / 2.0):
@@ -91,6 +92,7 @@ def gen_respiratory(n: int, rate_hz: float, seed, *,
     seeded phases; zero-mean unit-variance. Harmonics at/above Nyquist are
     dropped with a warning."""
     _check_source(n, rate_hz, fundamental_hz)
+    check_number(harmonics, "harmonics", integral=True)
     if harmonics < 1:
         raise InvalidInputError(f"harmonics must be >= 1, got {harmonics}")
     rng = np.random.default_rng(seed)

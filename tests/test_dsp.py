@@ -35,6 +35,10 @@ class TestSignalMatrix:
         with pytest.raises(InvalidInputError):
             SignalMatrix(np.zeros((5, 2)), 100.0, ("only-one",))
 
+    def test_rejects_complex_samples(self):
+        with pytest.raises(InvalidInputError, match="two real columns"):
+            SignalMatrix(np.array([[1 + 2j, 3j], [1.0, 2.0]]), 100.0)
+
     def test_rejects_bad_rate(self):
         for rate in (0.0, np.inf, np.nan):
             with pytest.raises(InvalidInputError, match="sample_rate_hz"):

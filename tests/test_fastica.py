@@ -107,10 +107,10 @@ class TestFitFastica:
         sources = uniform_sources(20000, seed=7)
         # symmetric (ZCA) whitening keeps the source axes while making the
         # sample covariance exactly identity, so there is nothing to unmix
-        from ebiunmix.linalg import covariance, sym_eigen
+        from ebiunmix.linalg import sym_eigen
 
         centered = sources - sources.mean(axis=0)
-        eig = sym_eigen(covariance(centered))
+        eig = sym_eigen(centered.T @ centered / (len(centered) - 1))
         inv_sqrt = (eig.eigenvectors / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.T
         white = centered @ inv_sqrt
         model = fit_fastica(white, IcaConfig(seed=1))

@@ -7,10 +7,13 @@ from ebiunmix.errors import (
     DegenerateComponentError,
     DimensionError,
     InsufficientDataError,
+    InvalidInputError,
 )
 from ebiunmix.linalg import svd
 from ebiunmix.pca import explained_variance, fit_pca, project, whiten
 from ebiunmix.synth import default_scenario
+
+from oracles import charpoly_eigenvalues, covariance_loops
 
 
 def collinear_data():
@@ -78,6 +81,51 @@ class TestFitPca:
     def test_more_channels_than_samples_rejected(self):
         with pytest.raises(InsufficientDataError):
             fit_pca(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("data", [[[1.0]], [[1.0, 2.0]]], ids=["1x1", "1x2"])
+    def test_single_row_rejected(self, data):
+        with pytest.raises(InsufficientDataError):
+            fit_pca(data)
+
+    @pytest.mark.parametrize("data, match", [
+        ([[1.0], [np.nan]], "non-finite"),
+        (np.zeros((0, 3)), "at least one row"),
+        (np.array([[1 + 2j, 3j], [1.0, 2.0], [0.5j, 1.0]]), "two real columns"),
+    ], ids=["non_finite", "empty", "complex"])
+    def test_malformed_input_rejected(self, data, match):
+        with pytest.raises(InvalidInputError, match=match):
+            fit_pca(data)
+
+    @pytest.mark.parametrize("data, means", [
+        ([[1.0], [2.0], [3.0]], [2.0]),
+        ([[1.0, -2.0], [-1.0, 2.0]], [0.0, 0.0]),
+    ], ids=["unit_spaced_triple", "already_centered"])
+    def test_means(self, data, means):
+        model = fit_pca(data)
+        assert np.array_equal(model.means, means)
+        centered = project(model, data, len(means)) @ model.loadings.T
+        assert np.abs(centered - (np.asarray(data) - means)).max() < 1e-12
+
+    def test_frame_sized_input_scores_centered(self, rng):
+        x = rng.standard_normal((10000, 4))
+        model = fit_pca(x)
+        assert model.means.shape == (4,)
+        assert np.abs(project(model, x, 4).sum(axis=0)).max() < 1e-9 * 10000
+
+    def test_unit_variance_triple(self):
+        assert fit_pca([[-1.0], [0.0], [1.0]]).eigenvalues[0] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("shape", ["random_200x4", "product_50x3x4"])
+    def test_eigenvalues_match_double_loop_oracle(self, rng, shape):
+        if shape == "random_200x4":
+            x = rng.standard_normal((200, 4))
+        else:
+            x = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 4))
+        model = fit_pca(x)
+        expected = charpoly_eigenvalues(covariance_loops(x - x.mean(axis=0)))
+        scale = max(1.0, np.abs(expected).max())
+        assert np.abs(model.eigenvalues - expected).max() < 1e-8 * scale
+        assert_fit_invariants(model)
 
 
 class TestProject:

@@ -156,6 +156,9 @@ class TestScenario:
         {"jitter_pct": float("inf")},
         {"seed": -1},
         {"seed": 1.5},
+        {"n": 2500.0},
+        {"n": True},
+        {"harmonics": 2.5},
     ])
     def test_bad_source_parameter_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
