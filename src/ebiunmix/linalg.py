@@ -4,7 +4,9 @@ Matrices are plain 2-D float ndarrays, validated at operation boundaries
 (real, finite entries, at least one row and column). The channel count p
 is tiny (4 in the target application, never more than a handful), so the
 eigensolver is a cyclic Jacobi iteration: provably convergent, simple, and
-exact enough that every downstream tolerance is met with a wide margin.
+exact enough that every downstream tolerance is met with a wide margin. Its
+rotations run on Python floats, because at this size numpy's per-call
+overhead costs more than the arithmetic.
 The SVD is computed through the p x p Gram matrix rather than
 bidiagonalization, which is both simpler and faster when n >> p; it needs
 full column rank.
@@ -100,7 +102,9 @@ def sym_eigen(m) -> SymEigen:
     zeroes it: A <- J^T A J on columns and rows i, j, and V <- V J.
     Sweeps stop once every off-diagonal magnitude is at most
     JACOBI_OFF_DIAG_TOL times the Frobenius norm of the input, with a hard
-    cap of JACOBI_MAX_SWEEPS sweeps.
+    cap of JACOBI_MAX_SWEEPS sweeps. The rotations run on lists of Python
+    floats, as p is at most a handful and numpy's per-call overhead would
+    cost more than the arithmetic.
 
     Raises:
         InvalidInputError: non-square or asymmetric input.
@@ -115,11 +119,12 @@ def sym_eigen(m) -> SymEigen:
         raise InvalidInputError("matrix is not symmetric within tolerance")
 
     a = 0.5 * (a + a.T)
-    v = np.eye(p)
     thresh = JACOBI_OFF_DIAG_TOL * float(np.linalg.norm(a))
-    upper = np.triu_indices(p, 1)
+    upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    a = a.tolist()
+    v = np.eye(p).tolist()
     for sweeps in range(JACOBI_MAX_SWEEPS + 1):
-        off = float(np.abs(a[upper]).max(initial=0.0))
+        off = max((abs(a[i][j]) for i, j in upper), default=0.0)
         if off <= thresh:
             break
         if sweeps == JACOBI_MAX_SWEEPS:
@@ -128,22 +133,25 @@ def sym_eigen(m) -> SymEigen:
                 f"after {sweeps} sweeps",
                 sweeps=sweeps,
             )
-        for i, j in zip(*upper):
-            if abs(a[i, j]) <= thresh:
+        for i, j in upper:
+            aij = a[i][j]
+            if abs(aij) <= thresh:
                 continue
-            theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
+            theta = (a[j][j] - a[i][i]) / (2.0 * aij)
             t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
             c = 1.0 / math.hypot(t, 1.0)
             s = t * c
-            rot = np.array([[c, s], [-s, c]])
-            pair = [i, j]
-            a[:, pair] = a[:, pair] @ rot
-            a[pair] = rot.T @ a[pair]
-            v[:, pair] = v[:, pair] @ rot
+            for row in a + v:  # columns i, j: A <- A J, V <- V J
+                x, y = row[i], row[j]
+                row[i] = x * c - y * s
+                row[j] = x * s + y * c
+            rows = tuple(zip(a[i], a[j]))  # rows i, j: A <- J^T A
+            a[i] = [c * x - s * y for x, y in rows]
+            a[j] = [s * x + c * y for x, y in rows]
 
-    vals = np.diag(a)
+    vals = np.diag(np.array(a))
     order = np.argsort(-vals, kind="stable")
-    return SymEigen(vals[order], _sign_normalize_columns(v[:, order]))
+    return SymEigen(vals[order], _sign_normalize_columns(np.array(v)[:, order]))
 
 
 def svd(data) -> SvdResult:

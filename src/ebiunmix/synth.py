@@ -50,6 +50,8 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 
 def _check_source(n: int, rate_hz: float, fundamental_hz: float) -> None:
     check_number(n, "n", integral=True)
+    check_number(rate_hz, "rate_hz")
+    check_number(fundamental_hz, "fundamental_hz")
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not (0.0 < fundamental_hz < rate_hz / 2.0):
@@ -66,6 +68,7 @@ def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC
     +-jitter_pct/100 per beat. Output is zero-mean unit-variance.
     """
     _check_source(n, rate_hz, fundamental_hz)
+    check_number(jitter_pct, "jitter_pct")
     if not (0 <= jitter_pct < math.inf):
         raise InvalidInputError(f"jitter_pct must be a finite number >= 0, got {jitter_pct}")
     rng = np.random.default_rng(seed)
@@ -118,6 +121,7 @@ def effective_sources(sources, correlation_injection: float) -> np.ndarray:
     baseline, multiplied by (1 + c * respiratory), and re-centered.
     """
     s = check_matrix(sources, "sources")
+    check_number(correlation_injection, "correlation_injection")
     c = correlation_injection
     if not (0.0 <= c < 1.0):
         raise InvalidInputError(f"correlation_injection must be in [0, 1), got {c}")
@@ -143,6 +147,7 @@ def mix(sources, mixing, seed, rate_hz: float = 1000.0, noise_sigma: float = 0.0
     sv = svd(a).D
     if sv[-1] <= 1e-6 * sv[0]:
         raise InvalidInputError("mixing matrix is rank deficient")
+    check_number(noise_sigma, "noise_sigma")
     if not (0 <= noise_sigma < math.inf):
         raise InvalidInputError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
     if a.shape[1] != s.shape[1]:

@@ -2,11 +2,11 @@
 
 These deliberately take a different computational route from the package:
 covariance by explicit double loops, eigenvalues from characteristic
-polynomial roots, determinants by cofactor expansion, filter responses from
-the analog prototype, filter outputs from the difference equation one sample
-at a time, spectra straight from the FFT, CSV text one formatted row at a time,
-ICA component signs one column at a time, component matching one
-correlation pair at a time.
+polynomial roots, Jacobi rotations as 2-column numpy products, determinants
+by cofactor expansion, filter responses from the analog prototype, filter
+outputs from the difference equation one sample at a time, spectra straight
+from the FFT, CSV text one formatted row at a time, ICA component signs one
+column at a time, component matching one correlation pair at a time.
 """
 
 import itertools
@@ -57,6 +57,44 @@ def charpoly_eigenvalues(m):
     coeffs = np.polyfit(points, values, k)
     roots = np.roots(coeffs)
     return np.sort_complex(roots).real[::-1]
+
+
+def jacobi_numpy_rotations(m, tol):
+    """Cyclic Jacobi with each rotation applied as numpy 2-column products.
+
+    The same pair order, per-pair skip and stopping rule as sym_eigen (stop
+    once every off-diagonal magnitude is at most tol * ||m||_F), with no sweep
+    cap. Returns (eigenvalues descending, eigenvector columns with their
+    largest-magnitude entry positive, sweeps needed).
+    """
+    a = np.asarray(m, dtype=float)
+    a = 0.5 * (a + a.T)
+    p = a.shape[0]
+    v = np.eye(p)
+    thresh = tol * float(np.linalg.norm(a))
+    upper = np.triu_indices(p, 1)
+    sweeps = 0
+    while np.abs(a[upper]).max(initial=0.0) > thresh:
+        for i, j in zip(*upper):
+            if abs(a[i, j]) <= thresh:
+                continue
+            theta = (a[j, j] - a[i, i]) / (2.0 * a[i, j])
+            t = np.copysign(1.0, theta) / (abs(theta) + np.hypot(theta, 1.0))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            rot = np.array([[c, s], [-s, c]])
+            pair = [i, j]
+            a[:, pair] = a[:, pair] @ rot
+            a[pair] = rot.T @ a[pair]
+            v[:, pair] = v[:, pair] @ rot
+        sweeps += 1
+    vals = np.diag(a)
+    order = np.argsort(-vals, kind="stable")
+    vecs = v[:, order]
+    for col in range(p):
+        if vecs[np.argmax(np.abs(vecs[:, col])), col] < 0:
+            vecs[:, col] = -vecs[:, col]
+    return vals[order], vecs, sweeps
 
 
 def analog_lp2_response(freqs_hz, cutoff_hz, sample_rate_hz):

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ebiunmix import linalg
+import ebiunmix
+from ebiunmix import fastica, linalg, pca
 from ebiunmix.errors import DimensionError, InvalidInputError, JacobiConvergenceError
 from ebiunmix.linalg import svd, sym_eigen
 
-from oracles import charpoly_eigenvalues, det_cofactor
+from oracles import charpoly_eigenvalues, det_cofactor, jacobi_numpy_rotations
+
+# raw_rate_dc-style per-channel baselines, large against the unit-variance signal
+DC_BASELINE = 10.0 * np.array([1.0, 2.0, 3.0, 4.0])
 
 
 class TestSymEigen:
@@ -105,6 +109,84 @@ class TestSymEigen:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidInputError):
             sym_eigen(np.ones((2, 3)))
+
+
+def _pipeline_sym_eigen_inputs(seed, dc):
+    """Every matrix run_pipeline hands sym_eigen over two frames of the default
+    scenario: each frame's 4x4 covariance and FastICA's 2x2 W W^T per step.
+    With dc, the channels carry DC_BASELINE and filter before decimation."""
+    mixture, _ = ebiunmix.default_scenario(n=20000, seed=seed)
+    config = ebiunmix.PipelineConfig()
+    if dc:
+        mixture = ebiunmix.SignalMatrix(mixture.samples + DC_BASELINE, mixture.sample_rate_hz)
+        config = ebiunmix.PipelineConfig(filter_position="before_decimate")
+    seen = []
+
+    def recording_sym_eigen(m):
+        seen.append(np.array(m, dtype=float))
+        return sym_eigen(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pca, "sym_eigen", recording_sym_eigen)
+        mp.setattr(fastica, "sym_eigen", recording_sym_eigen)
+        ebiunmix.run_pipeline(mixture, config)
+    return seen
+
+
+class TestSymEigenMatchesNumpyRotations:
+    """sym_eigen against the same cyclic Jacobi with numpy 2-column rotations.
+
+    Both take the same rotations in the same order, so only rounding differs:
+    eigenvalues agree to 1e-13 of the norm, eigenvector columns to 1e-10 (for
+    eigenvalues separated by more than ~1e-6 of the norm; within a repeated
+    eigenvalue's eigenspace rounding picks the basis), and the sweep cap
+    trips exactly when the reference needs more sweeps than the cap allows.
+    """
+
+    @staticmethod
+    def check(m):
+        vals, vecs, sweeps = jacobi_numpy_rotations(m, linalg.JACOBI_OFF_DIAG_TOL)
+        eig = sym_eigen(m)
+        assert np.abs(eig.eigenvalues - vals).max() <= 1e-13 * np.linalg.norm(m)
+        assert np.abs(eig.eigenvectors - vecs).max() <= 1e-10
+        with pytest.MonkeyPatch.context() as mp:
+            for cap in range(sweeps + 1):
+                mp.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
+                if sweeps > cap:
+                    with pytest.raises(JacobiConvergenceError) as excinfo:
+                        sym_eigen(m)
+                    assert excinfo.value.sweeps == cap
+                else:
+                    sym_eigen(m)
+
+    @pytest.mark.parametrize("dc", [False, True], ids=["zero_mean", "dc_baseline"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pipeline_inputs(self, seed, dc):
+        matrices = _pipeline_sym_eigen_inputs(seed, dc)
+        assert {m.shape for m in matrices} == {(4, 4), (2, 2)}
+        for m in matrices:
+            self.check(m)
+
+    @pytest.mark.parametrize("kind, seed", [("near_orthonormal", 10), ("random", 20)])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_w_wt(self, k, kind, seed):
+        rng = np.random.default_rng(seed + k)
+        for _ in range(20):
+            if kind == "near_orthonormal":
+                q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+                w = q + 1e-3 * rng.standard_normal((k, k))
+            else:
+                w = rng.standard_normal((k, k))
+            self.check(w @ w.T)
+
+    @given(
+        p=st.integers(1, 6),
+        exponent=st.floats(-8.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_symmetric(self, p, exponent, seed):
+        m = np.random.default_rng(seed).standard_normal((p, p))
+        self.check(0.5 * (m + m.T) * 10.0**exponent)
 
 
 class TestSvd:

@@ -159,6 +159,13 @@ class TestScenario:
         {"n": 2500.0},
         {"n": True},
         {"harmonics": 2.5},
+        {"rate_hz": "1000"},
+        {"cardiac_hz": None},
+        {"jitter_pct": "2"},
+        {"noise_sigma": "0.1"},
+        {"correlation_injection": "0.3"},
+        {"resp_hz": True},
+        {"rate_hz": True, "cardiac_hz": 0.3, "resp_hz": 0.1},  # True is not 1 Hz
     ])
     def test_bad_source_parameter_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
