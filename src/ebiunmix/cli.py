@@ -29,6 +29,7 @@ from .pipeline import (
     FILTER_POSITIONS,
     MODES,
     PipelineConfig,
+    _write_table,
     read_csv,
     run_pipeline,
     write_csv,
@@ -163,9 +164,8 @@ def _write_periodogram(signal: SignalMatrix, path) -> None:
     n = signal.n_samples
     freqs = np.fft.rfftfreq(n, d=1.0 / signal.sample_rate_hz)
     power = np.abs(np.fft.rfft(signal.samples, axis=0)) ** 2 / n
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([freqs, power]), fmt="%.17g", delimiter=",",
-                   header=",".join(("freq_hz",) + signal.channel_labels), comments="")
+    header = ",".join(("freq_hz",) + signal.channel_labels) + "\n"
+    _write_table(path, header, np.column_stack([freqs, power]))
 
 
 def _cmd_run(args) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FilterDesignError, FilterStabilityError, InvalidInputError
-from .linalg import check_matrix
+from .linalg import check_matrix, check_number
 
 SQRT2 = math.sqrt(2.0)
 # Samples per block of _biquad_pass. Each sample costs a _BLOCK-long dot
@@ -35,6 +35,7 @@ class SignalMatrix:
     def __post_init__(self):
         a = check_matrix(self.samples, "samples").copy()
         a.flags.writeable = False
+        check_number(self.sample_rate_hz, "sample_rate_hz")
         if not (0 < self.sample_rate_hz < math.inf):
             raise InvalidInputError(
                 f"sample_rate_hz must be a finite number > 0, got {self.sample_rate_hz}"
@@ -127,9 +128,13 @@ def design_butterworth_lp2(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
     exactly 1/sqrt(2) at the cutoff and exactly 1 at DC.
 
     Raises:
-        FilterDesignError: rate not finite and > 0, or cutoff not strictly
+        FilterDesignError: rate not a finite number > 0, or cutoff not strictly
             between 0 and Nyquist.
     """
+    try:
+        check_number(sample_rate_hz, "sample_rate_hz")
+    except InvalidInputError as exc:
+        raise FilterDesignError(str(exc)) from None
     if not (0 < sample_rate_hz < math.inf):
         raise FilterDesignError(f"sample_rate_hz must be a finite number > 0, got {sample_rate_hz}")
     if not (0.0 < cutoff_hz < sample_rate_hz / 2.0):

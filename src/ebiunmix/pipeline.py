@@ -24,7 +24,10 @@ CSV format (also written by the synth generator):
 `# key=value` comment lines may sit anywhere and must include rate_hz; blank
 lines are skipped. The single header row holds channel labels; every
 following row is one sample. Cells use numpy's float syntax (so no `1_000`),
-and a `#` inside a row is an error, not a comment.
+and a `#` inside a row is an error, not a comment. write_csv refuses labels
+that this header row would not read back as: a label with a comma, a line
+break or surrounding whitespace, a first label starting with `#`, a lone
+empty label, or labels that read as numbers.
 """
 
 import itertools
@@ -267,11 +270,53 @@ def _from_first_sample(frame: SignalMatrix) -> SignalMatrix:
 # CSV I/O
 
 
+# Rows per `%` in _write_table: one format over a block is about twice as fast
+# as formatting row by row, and at 1024 rows the operand tuple and the text
+# stay well under 1 MB, so memory does not grow with the file.
+_WRITE_BLOCK = 1024
+
+
 def write_csv(signal: SignalMatrix, path) -> None:
-    """Write a SignalMatrix; floats use %.17g so values round-trip exactly."""
+    """Write a SignalMatrix; floats use %.17g so values round-trip exactly.
+
+    Rows are formatted in blocks of _WRITE_BLOCK rows; the bytes are those of
+    a row-by-row %.17g formatter.
+
+    Raises:
+        InvalidInputError: the label row would not read back as the channel
+            labels (see _label_row); no file is written.
+    """
+    row = _label_row(signal.channel_labels)
+    _write_table(path, f"# rate_hz={signal.sample_rate_hz!r}\n{row}\n", signal.samples)
+
+
+def _label_row(labels: tuple) -> str:
+    """The CSV header row for labels, if read_csv reads it back as those labels."""
+    for label in labels:
+        if not isinstance(label, str) or label != label.strip() or any(c in label for c in ",\n\r"):
+            raise InvalidInputError(
+                f"channel label {label!r} would not read back from a CSV header row: labels "
+                "are strings without commas, line breaks or leading or trailing whitespace"
+            )
+    row = ",".join(labels)
+    if not row or row.startswith("#"):
+        raise InvalidInputError(
+            f"channel label {labels[0]!r} would make the CSV header row "
+            f"{'blank' if not row else 'a comment'}"
+        )
+    if _numbers(row) is not None:
+        raise InvalidInputError(f"channel labels {labels!r} would make a numeric CSV header row")
+    return row
+
+
+def _write_table(path, header: str, samples: np.ndarray) -> None:
+    """Write header text, then each row of samples as comma-joined %.17g cells."""
+    row_fmt = ",".join(["%.17g"] * samples.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = f"# rate_hz={signal.sample_rate_hz!r}\n" + ",".join(signal.channel_labels)
-        np.savetxt(fh, signal.samples, fmt="%.17g", delimiter=",", header=header, comments="")
+        fh.write(header)
+        for start in range(0, samples.shape[0], _WRITE_BLOCK):
+            block = samples[start:start + _WRITE_BLOCK]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> SignalMatrix:

@@ -1,4 +1,5 @@
 """Tests for the ebi-unmix command line interface."""
+import io
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from ebiunmix.cli import _write_periodogram, main
 from ebiunmix.dsp import SignalMatrix
-from ebiunmix.pipeline import read_csv, write_csv
+from ebiunmix.pipeline import _WRITE_BLOCK, read_csv, write_csv
 from ebiunmix.synth import default_scenario
 
 from oracles import csv_text, periodogram
@@ -112,6 +113,48 @@ class TestWriterBytes:
             [",".join(("freq_hz",) + self.LABELS)], np.column_stack([freqs, power])
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def savetxt_text(x):
+    """np.savetxt's row-by-row %.17g rows of x."""
+    fh = io.StringIO()
+    np.savetxt(fh, x, fmt="%.17g", delimiter=",")
+    return fh.getvalue()
+
+
+ROW_COUNTS = [1, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1, 2 * _WRITE_BLOCK + 3]
+SPECIAL_VALUES = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308]
+
+
+class TestWriterBlocks:
+    """Both CSV writers match np.savetxt on row counts around the block length."""
+
+    @pytest.mark.parametrize("p", [1, 5])
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_write_csv(self, tmp_path, rng, n, p):
+        x = rng.standard_normal((n, p))
+        # special values at both ends, so in the first and the last block
+        x.flat[:len(SPECIAL_VALUES)] = SPECIAL_VALUES[:x.size]
+        x.flat[-len(SPECIAL_VALUES):] = SPECIAL_VALUES[-x.size:]
+        sig = SignalMatrix(x, 250.0)
+        path = tmp_path / "signal.csv"
+        write_csv(sig, path)
+        header = f"# rate_hz=250.0\n{','.join(sig.channel_labels)}\n"
+        assert path.read_bytes() == (header + savetxt_text(x)).encode("utf-8")
+
+    @pytest.mark.parametrize("p", [1, 5])
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    def test_write_periodogram(self, tmp_path, rng, rows, p):
+        # n samples give n // 2 + 1 frequency rows; the scales make subnormal
+        # and 1e300-scale powers
+        x = rng.standard_normal((max(1, 2 * (rows - 1)), p)) * np.geomspace(1e-160, 1e150, p)
+        sig = SignalMatrix(x, 250.0)
+        path = tmp_path / "periodogram.csv"
+        _write_periodogram(sig, path)
+        table = np.column_stack(periodogram(x, 250.0))
+        assert table.shape[0] == rows
+        header = ",".join(("freq_hz",) + sig.channel_labels) + "\n"
+        assert path.read_bytes() == (header + savetxt_text(table)).encode("utf-8")
 
 
 class TestRunCommand:

@@ -40,7 +40,7 @@ class TestSignalMatrix:
             SignalMatrix(np.array([[1 + 2j, 3j], [1.0, 2.0]]), 100.0)
 
     def test_rejects_bad_rate(self):
-        for rate in (0.0, np.inf, np.nan):
+        for rate in (0.0, np.inf, np.nan, True, "5"):
             with pytest.raises(InvalidInputError, match="sample_rate_hz"):
                 SignalMatrix(np.zeros((5, 2)), rate)
 
@@ -163,7 +163,7 @@ class TestButterworthDesign:
         with pytest.raises(FilterDesignError):
             design_butterworth_lp2(cutoff, 100.0)
 
-    @pytest.mark.parametrize("rate", [0.0, -100.0, np.inf, np.nan])
+    @pytest.mark.parametrize("rate", [0.0, -100.0, np.inf, np.nan, True, "5"])
     def test_invalid_rate_rejected(self, rate):
         with pytest.raises(FilterDesignError, match="sample_rate_hz"):
             design_butterworth_lp2(40.0, rate)

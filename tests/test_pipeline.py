@@ -325,6 +325,29 @@ class TestCsvIO:
         assert back.sample_rate_hz == sig.sample_rate_hz
         assert back.channel_labels == sig.channel_labels
 
+    @pytest.mark.parametrize("labels, bad", [
+        (("a,b", "c"), "a,b"),
+        (("a\nb", "c"), "a\nb"),
+        (("a\rb", "c"), "a\rb"),
+        (("a", " c"), " c"),
+        (("a", 3), 3),
+        (("#a", "c"), "#a"),
+        (("",), ""),
+        (("1", "2e3"), "1"),
+    ])
+    def test_label_that_would_not_read_back_rejected(self, tmp_path, labels, bad):
+        path = tmp_path / "sig.csv"
+        sig = SignalMatrix(np.zeros((3, len(labels))), 100.0, labels)
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            write_csv(sig, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("labels", [("Δz_µΩ", "c"), ("a", "#b"), ("", ""), ("x y", "c")])
+    def test_labels_round_trip(self, tmp_path, labels):
+        path = tmp_path / "sig.csv"
+        write_csv(SignalMatrix(np.ones((3, len(labels))), 100.0, labels), path)
+        assert read_csv(path).channel_labels == labels
+
     def test_rate_comment_parsed(self, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text("# rate_hz=1000\nch1,ch2\n1.0,2.0\n3.5,-4.0\n")

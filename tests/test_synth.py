@@ -108,6 +108,11 @@ class TestMix:
         with pytest.raises(InvalidInputError, match="noise_sigma"):
             mix(rng.standard_normal((10, 2)), DEFAULT_MIXING, seed=0, noise_sigma=sigma)
 
+    @pytest.mark.parametrize("rate", [True, "1000"])
+    def test_rate_that_is_not_a_number_rejected(self, rng, rate):
+        with pytest.raises(InvalidInputError, match="sample_rate_hz must be a real number"):
+            mix(rng.standard_normal((10, 2)), DEFAULT_MIXING, seed=0, rate_hz=rate)
+
     def test_source_count_mismatch_rejected(self, rng):
         with pytest.raises(InvalidInputError):
             mix(rng.standard_normal((10, 3)), DEFAULT_MIXING, seed=0)
