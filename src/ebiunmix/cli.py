@@ -24,6 +24,7 @@ import numpy as np
 from .dsp import SignalMatrix, design_butterworth_lp2, frequency_response
 from .errors import InvalidInputError
 from .fastica import CONTRASTS, IcaConfig
+from .linalg import check_number
 from .metrics import match_components
 from .pipeline import (
     FILTER_POSITIONS,
@@ -244,8 +245,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_filter_design(args) -> int:
-    if args.points < 1:
-        raise InvalidInputError(f"--points must be >= 1, got {args.points}")
+    check_number(args.points, "--points", integral=True, at_least=1)
     coeffs = design_butterworth_lp2(args.cutoff_hz, args.rate)
     print(f"# 2nd-order Butterworth low-pass, cutoff {args.cutoff_hz} Hz @ {args.rate} Hz")
     for name in ("b0", "b1", "b2", "a1", "a2"):

@@ -35,11 +35,9 @@ class SignalMatrix:
     def __post_init__(self):
         a = check_matrix(self.samples, "samples").copy()
         a.flags.writeable = False
-        check_number(self.sample_rate_hz, "sample_rate_hz")
-        if not (0 < self.sample_rate_hz < math.inf):
-            raise InvalidInputError(
-                f"sample_rate_hz must be a finite number > 0, got {self.sample_rate_hz}"
-            )
+        check_number(self.sample_rate_hz, "sample_rate_hz", above=0, below=math.inf)
+        if isinstance(self.channel_labels, str):
+            raise InvalidInputError(f"channel_labels must not be a string, got {self.channel_labels!r}")
         labels = tuple(self.channel_labels) or tuple(f"ch{i + 1}" for i in range(a.shape[1]))
         if len(labels) != a.shape[1]:
             raise InvalidInputError(
@@ -96,8 +94,7 @@ def frame_signal(signal: SignalMatrix, frame_len: int) -> list[SignalMatrix]:
 
     Returns an empty list when frame_len exceeds the signal length.
     """
-    if frame_len < 1:
-        raise InvalidInputError(f"frame_len must be >= 1, got {frame_len}")
+    check_number(frame_len, "frame_len", integral=True, at_least=1)
     return [
         SignalMatrix(
             signal.samples[start : start + frame_len],
@@ -110,9 +107,7 @@ def frame_signal(signal: SignalMatrix, frame_len: int) -> list[SignalMatrix]:
 
 def decimate(signal: SignalMatrix, factor: int) -> SignalMatrix:
     """Keep every factor-th sample starting at index 0; rate divides by factor."""
-    if int(factor) != factor or factor < 1:
-        raise InvalidInputError(f"decimation factor must be an integer >= 1, got {factor}")
-    factor = int(factor)
+    check_number(factor, "factor", integral=True, at_least=1)
     return SignalMatrix(
         signal.samples[::factor],
         signal.sample_rate_hz / factor,
@@ -128,15 +123,14 @@ def design_butterworth_lp2(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
     exactly 1/sqrt(2) at the cutoff and exactly 1 at DC.
 
     Raises:
-        FilterDesignError: rate not a finite number > 0, or cutoff not strictly
-            between 0 and Nyquist.
+        FilterDesignError: rate not in (0, inf), cutoff not a real number, or
+            cutoff not strictly between 0 and Nyquist.
     """
     try:
-        check_number(sample_rate_hz, "sample_rate_hz")
+        check_number(sample_rate_hz, "sample_rate_hz", above=0, below=math.inf)
+        check_number(cutoff_hz, "cutoff_hz")
     except InvalidInputError as exc:
         raise FilterDesignError(str(exc)) from None
-    if not (0 < sample_rate_hz < math.inf):
-        raise FilterDesignError(f"sample_rate_hz must be a finite number > 0, got {sample_rate_hz}")
     if not (0.0 < cutoff_hz < sample_rate_hz / 2.0):
         raise FilterDesignError(
             f"cutoff {cutoff_hz} Hz must lie strictly between 0 and "

@@ -51,17 +51,12 @@ class IcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_number(self.max_iterations, "max_iterations", integral=True)
-        check_number(self.seed, "seed", integral=True)
-        check_number(self.tolerance, "tolerance")
+        check_number(self.max_iterations, "max_iterations", integral=True, at_least=1)
+        check_number(self.seed, "seed", integral=True, at_least=0)
+        # the delta 1 - |<w+, w>| never exceeds 1
+        check_number(self.tolerance, "tolerance", above=0, below=1)
         if self.contrast not in CONTRASTS:
             raise InvalidInputError(f"contrast must be one of {CONTRASTS}, got {self.contrast!r}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if self.max_iterations < 1:
-            raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not (0 < self.tolerance < 1):  # the delta 1 - |<w+, w>| never exceeds 1
-            raise InvalidInputError(f"tolerance must be in (0, 1), got {self.tolerance}")
 
 
 @dataclass(frozen=True)

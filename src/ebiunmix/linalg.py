@@ -1,5 +1,8 @@
 """Dense real matrix primitives: input checks, symmetric eigen, SVD.
 
+The input checks cover matrices and scalar parameters alike: check_number
+is the one rule for what a scalar parameter accepts and how a refusal reads.
+
 Matrices are plain 2-D float ndarrays, validated at operation boundaries
 (real, finite entries, at least one row and column). The channel count p
 is tiny (4 in the target application, never more than a handful), so the
@@ -58,12 +61,25 @@ def check_matrix(data, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def check_number(value, name: str, integral: bool = False) -> None:
-    """Reject a bool, or a value that is not a real (integral=True: an integer) number."""
+def check_number(value, name: str, integral: bool = False, *, above=None, at_least=None,
+                 below=None) -> None:
+    """Reject a bool, a value that is not a real (integral=True: an integer)
+    number, or one that fails a given bound: value > above, value >= at_least,
+    value < below. NaN fails every bound. Give at most one lower bound, and a
+    lower bound wherever below is given.
+    """
     kind = numbers.Integral if integral else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         expected = "an integer" if integral else "a real number"
         raise InvalidInputError(f"{name} must be {expected}, got {value!r}")
+    if ((above is None or value > above) and (at_least is None or value >= at_least)
+            and (below is None or value < below)):
+        return
+    if below is not None:
+        span = f"in ({above}, {below})" if at_least is None else f"in [{at_least}, {below})"
+    else:
+        span = f"> {above}" if at_least is None else f">= {at_least}"
+    raise InvalidInputError(f"{name} must be {span}, got {value}")
 
 
 def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:

@@ -66,24 +66,14 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("frame_len", "decimation_factor", "retained_components"):
-            check_number(getattr(self, name), name, integral=True)
-        check_number(self.cutoff_hz, "cutoff_hz")
-        if self.frame_len < 1:
-            raise InvalidInputError(f"frame_len must be >= 1, got {self.frame_len}")
-        if self.decimation_factor < 1:
-            raise InvalidInputError(
-                f"decimation_factor must be >= 1, got {self.decimation_factor}"
-            )
-        if not (self.cutoff_hz > 0):
-            raise InvalidInputError(f"cutoff_hz must be > 0, got {self.cutoff_hz}")
+            check_number(getattr(self, name), name, integral=True, at_least=1)
+        check_number(self.cutoff_hz, "cutoff_hz", above=0)
         if self.filter_position not in FILTER_POSITIONS:
             raise InvalidInputError(
                 f"filter_position must be one of {FILTER_POSITIONS}, got {self.filter_position!r}"
             )
-        if self.retained_components < 1:
-            raise InvalidInputError(
-                f"retained_components must be >= 1, got {self.retained_components}"
-            )
+        if not isinstance(self.ica, IcaConfig):
+            raise InvalidInputError(f"ica must be an IcaConfig, got {self.ica!r}")
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
 

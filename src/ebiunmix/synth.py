@@ -24,7 +24,7 @@ import numpy as np
 
 from .dsp import SignalMatrix
 from .errors import InvalidInputError
-from .linalg import check_matrix, check_number, svd
+from .linalg import check_matrix, check_number, sym_eigen
 
 CARDIAC_DEFAULT_HZ = 1.2
 RESPIRATORY_DEFAULT_HZ = 0.25
@@ -49,15 +49,9 @@ def _normalize(x: np.ndarray) -> np.ndarray:
 
 
 def _check_source(n: int, rate_hz: float, fundamental_hz: float) -> None:
-    check_number(n, "n", integral=True)
-    check_number(rate_hz, "rate_hz")
-    check_number(fundamental_hz, "fundamental_hz")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    if not (0.0 < fundamental_hz < rate_hz / 2.0):
-        raise InvalidInputError(
-            f"fundamental must lie in (0, Nyquist): {fundamental_hz} Hz at rate {rate_hz} Hz"
-        )
+    check_number(n, "n", integral=True, at_least=1)
+    check_number(rate_hz, "rate_hz", above=0, below=math.inf)
+    check_number(fundamental_hz, "fundamental_hz", above=0, below=rate_hz / 2.0)  # below Nyquist
 
 
 def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC_DEFAULT_HZ,
@@ -68,9 +62,7 @@ def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC
     +-jitter_pct/100 per beat. Output is zero-mean unit-variance.
     """
     _check_source(n, rate_hz, fundamental_hz)
-    check_number(jitter_pct, "jitter_pct")
-    if not (0 <= jitter_pct < math.inf):
-        raise InvalidInputError(f"jitter_pct must be a finite number >= 0, got {jitter_pct}")
+    check_number(jitter_pct, "jitter_pct", at_least=0, below=math.inf)
     rng = np.random.default_rng(seed)
     t = np.arange(n) / rate_hz
     sig = np.zeros(n)
@@ -95,9 +87,7 @@ def gen_respiratory(n: int, rate_hz: float, seed, *,
     seeded phases; zero-mean unit-variance. Harmonics at/above Nyquist are
     dropped with a warning."""
     _check_source(n, rate_hz, fundamental_hz)
-    check_number(harmonics, "harmonics", integral=True)
-    if harmonics < 1:
-        raise InvalidInputError(f"harmonics must be >= 1, got {harmonics}")
+    check_number(harmonics, "harmonics", integral=True, at_least=1)
     rng = np.random.default_rng(seed)
     t = np.arange(n) / rate_hz
     sig = np.zeros(n)
@@ -121,10 +111,8 @@ def effective_sources(sources, correlation_injection: float) -> np.ndarray:
     baseline, multiplied by (1 + c * respiratory), and re-centered.
     """
     s = check_matrix(sources, "sources")
-    check_number(correlation_injection, "correlation_injection")
+    check_number(correlation_injection, "correlation_injection", at_least=0, below=1)
     c = correlation_injection
-    if not (0.0 <= c < 1.0):
-        raise InvalidInputError(f"correlation_injection must be in [0, 1), got {c}")
     if c <= 0.0 or s.shape[1] < 2:
         return s
     s = s.copy()
@@ -144,12 +132,12 @@ def mix(sources, mixing, seed, rate_hz: float = 1000.0, noise_sigma: float = 0.0
     a = check_matrix(mixing, "mixing")
     if a.shape[1] > a.shape[0]:
         raise InvalidInputError(f"mixing needs at least as many channels as sources, got {a.shape}")
-    sv = svd(a).D
+    sv = np.sqrt(np.clip(sym_eigen(a.T @ a).eigenvalues, 0, None))
     if sv[-1] <= 1e-6 * sv[0]:
-        raise InvalidInputError("mixing matrix is rank deficient")
-    check_number(noise_sigma, "noise_sigma")
-    if not (0 <= noise_sigma < math.inf):
-        raise InvalidInputError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
+        raise InvalidInputError(
+            f"mixing matrix is rank deficient: singular values {sv[0]:.3e} to {sv[-1]:.3e}"
+        )
+    check_number(noise_sigma, "noise_sigma", at_least=0, below=math.inf)
     if a.shape[1] != s.shape[1]:
         raise InvalidInputError(f"mixing expects {a.shape[1]} sources, got {s.shape[1]}")
     channels = s @ a.T
@@ -181,9 +169,7 @@ def default_scenario(
         the two sources exactly as mixed (so a perfect unmixer scores
         correlation 1 against it), labeled "cardiac" and "respiratory".
     """
-    check_number(seed, "seed", integral=True)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    check_number(seed, "seed", integral=True, at_least=0)
     seed_cardiac, seed_resp, seed_noise = np.random.SeedSequence(seed).spawn(3)
     sources = effective_sources(np.column_stack([
         gen_cardiac(n, rate_hz, seed_cardiac, fundamental_hz=cardiac_hz, jitter_pct=jitter_pct),

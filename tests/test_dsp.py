@@ -35,6 +35,11 @@ class TestSignalMatrix:
         with pytest.raises(InvalidInputError):
             SignalMatrix(np.zeros((5, 2)), 100.0, ("only-one",))
 
+    @pytest.mark.parametrize("channels, labels", [(3, "xyz"), (1, "ch1")])
+    def test_single_string_labels_rejected(self, channels, labels):
+        with pytest.raises(InvalidInputError, match="channel_labels"):
+            SignalMatrix(np.zeros((3, channels)), 1.0, labels)
+
     def test_rejects_complex_samples(self):
         with pytest.raises(InvalidInputError, match="two real columns"):
             SignalMatrix(np.array([[1 + 2j, 3j], [1.0, 2.0]]), 100.0)
@@ -71,6 +76,11 @@ class TestFrameSignal:
         with pytest.raises(InvalidInputError):
             frame_signal(make_signal(np.zeros((10, 1))), 0)
 
+    @pytest.mark.parametrize("frame_len", [True, 2.0, "5"])
+    def test_non_integer_frame_len_rejected(self, frame_len):
+        with pytest.raises(InvalidInputError, match="frame_len must be an integer"):
+            frame_signal(make_signal(np.zeros((10, 1))), frame_len)
+
     def test_concatenation_recovers_truncated_input(self, rng):
         sig = make_signal(rng.standard_normal((1050, 3)))
         frames = frame_signal(sig, 100)
@@ -105,6 +115,11 @@ class TestDecimate:
     def test_zero_factor_rejected(self):
         with pytest.raises(InvalidInputError):
             decimate(make_signal(np.zeros((5, 1))), 0)
+
+    @pytest.mark.parametrize("factor", [True, 2.0])
+    def test_non_integer_factor_rejected(self, factor):
+        with pytest.raises(InvalidInputError, match="factor must be an integer"):
+            decimate(make_signal(np.zeros((5, 1))), factor)
 
     def test_composition(self, rng):
         sig = make_signal(rng.standard_normal((1000, 2)))
@@ -161,6 +176,11 @@ class TestButterworthDesign:
     @pytest.mark.parametrize("cutoff", [0.0, -1.0, 50.0, 80.0])
     def test_invalid_cutoffs_rejected(self, cutoff):
         with pytest.raises(FilterDesignError):
+            design_butterworth_lp2(cutoff, 100.0)
+
+    @pytest.mark.parametrize("cutoff", [True, "40", None])
+    def test_cutoff_that_is_not_a_number_rejected(self, cutoff):
+        with pytest.raises(FilterDesignError, match="cutoff_hz must be a real number"):
             design_butterworth_lp2(cutoff, 100.0)
 
     @pytest.mark.parametrize("rate", [0.0, -100.0, np.inf, np.nan, True, "5"])

@@ -1,4 +1,7 @@
-"""Tests for the dense matrix primitives."""
+"""Tests for the dense matrix primitives and the scalar check."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +16,53 @@ from oracles import charpoly_eigenvalues, det_cofactor, jacobi_numpy_rotations
 
 # raw_rate_dc-style per-channel baselines, large against the unit-variance signal
 DC_BASELINE = 10.0 * np.array([1.0, 2.0, 3.0, 4.0])
+
+
+NAN = float("nan")
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value, integral, bounds, span", [
+        (1, True, {"at_least": 1}, None),
+        (0, True, {"at_least": 1}, ">= 1"),
+        (0.0, False, {"above": 0}, "> 0"),
+        (5e-324, False, {"above": 0}, None),
+        (1.0, False, {"above": 0, "below": 1}, "in (0, 1)"),
+        (0, False, {"at_least": 0, "below": 1}, None),
+        (1, False, {"at_least": 0, "below": 1}, "in [0, 1)"),
+        (math.inf, False, {"above": 0, "below": math.inf}, "in (0, inf)"),
+        (1e308, False, {"above": 0, "below": math.inf}, None),
+        (NAN, False, {}, None),  # no bound, no range test
+        (NAN, False, {"at_least": 1}, ">= 1"),
+        (NAN, False, {"above": 0}, "> 0"),
+        (NAN, False, {"above": 0, "below": 1}, "in (0, 1)"),
+        (NAN, False, {"at_least": 0, "below": 1}, "in [0, 1)"),
+        (NAN, False, {"above": 0, "below": math.inf}, "in (0, inf)"),
+        (np.int64(3), True, {"at_least": 1}, None),
+        (np.float64(0.5), False, {"above": 0, "below": 1}, None),
+        (Fraction(1, 2), False, {"above": 0, "below": 1}, None),
+        (Fraction(3, 2), False, {"above": 0, "below": 1}, "in (0, 1)"),
+    ])
+    def test_bounds(self, value, integral, bounds, span):
+        if span is None:
+            linalg.check_number(value, "x", integral, **bounds)
+            return
+        with pytest.raises(InvalidInputError) as err:
+            linalg.check_number(value, "x", integral, **bounds)
+        assert str(err.value) == f"x must be {span}, got {value}"
+
+    @pytest.mark.parametrize("value, integral, expected", [
+        (True, True, "an integer"),
+        (True, False, "a real number"),
+        (2.0, True, "an integer"),
+        ("5", False, "a real number"),
+        (None, False, "a real number"),
+        (1 + 0j, False, "a real number"),
+    ])
+    def test_wrong_type_rejected_before_bounds(self, value, integral, expected):
+        with pytest.raises(InvalidInputError) as err:
+            linalg.check_number(value, "x", integral, at_least=0, below=math.inf)
+        assert str(err.value) == f"x must be {expected}, got {value!r}"
 
 
 class TestSymEigen:

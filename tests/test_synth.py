@@ -1,4 +1,7 @@
 """Tests for the synthetic source generators and the channel mixer."""
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,13 @@ class TestGenCardiac:
     def test_fundamental_above_nyquist_rejected(self):
         with pytest.raises(InvalidInputError):
             gen_cardiac(100, rate_hz=2.0, seed=0, fundamental_hz=1.2)
+
+    @pytest.mark.parametrize("gen", [gen_cardiac, gen_respiratory])
+    @pytest.mark.parametrize("rate", [math.inf, -5.0])
+    def test_rate_outside_0_inf_rejected(self, gen, rate):
+        message = f"rate_hz must be in (0, inf), got {rate}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            gen(1000, rate, 0)
 
 
 class TestGenRespiratory:
@@ -100,8 +110,13 @@ class TestMix:
 
     def test_rank_deficient_mixing_rejected(self, rng):
         rank_one = np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0], [3.0, 6.0]])
-        with pytest.raises(InvalidInputError, match="rank deficient"):
+        with pytest.raises(InvalidInputError, match="mixing matrix is rank deficient"):
             mix(rng.standard_normal((10, 2)), rank_one, seed=0)
+
+    def test_nearly_rank_deficient_mixing_rejected(self, rng):
+        # a singular-value ratio of 2.7e-14, below svd's own rank tolerance
+        with pytest.raises(InvalidInputError, match="mixing matrix is rank deficient"):
+            mix(rng.standard_normal((10, 2)), np.diag([1.0, 2.7e-14]), seed=0)
 
     @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
     def test_bad_noise_sigma_rejected(self, rng, sigma):
