@@ -10,6 +10,7 @@ the difference equation to about 1e-15 relative to the output's peak.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,12 @@ class SignalMatrix:
         a = check_matrix(self.samples, "samples").copy()
         a.flags.writeable = False
         check_number(self.sample_rate_hz, "sample_rate_hz", above=0, below=math.inf)
-        if isinstance(self.channel_labels, str):
-            raise InvalidInputError(f"channel_labels must not be a string, got {self.channel_labels!r}")
-        labels = tuple(self.channel_labels) or tuple(f"ch{i + 1}" for i in range(a.shape[1]))
+        labels = self.channel_labels
+        if isinstance(labels, (str, bytes)) or not isinstance(labels, Iterable):
+            raise InvalidInputError(
+                f"channel_labels must be a sequence of labels, got {type(labels).__name__} {labels!r}"
+            )
+        labels = tuple(labels) or tuple(f"ch{i + 1}" for i in range(a.shape[1]))
         if len(labels) != a.shape[1]:
             raise InvalidInputError(
                 f"{len(labels)} labels for {a.shape[1]} channels"

@@ -317,7 +317,7 @@ def read_csv(path) -> SignalMatrix:
             non-finite cells, missing or bad rate_hz, or no data rows; carries
             the 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         lines = _CsvLines(fh)
         rows = iter(lines)
         header, first = next(rows, None), next(rows, None)

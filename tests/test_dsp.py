@@ -35,9 +35,11 @@ class TestSignalMatrix:
         with pytest.raises(InvalidInputError):
             SignalMatrix(np.zeros((5, 2)), 100.0, ("only-one",))
 
-    @pytest.mark.parametrize("channels, labels", [(3, "xyz"), (1, "ch1")])
+    @pytest.mark.parametrize("channels, labels", [
+        (3, "xyz"), (1, "ch1"), (2, b"ab"), (1, b"a"), (2, None), (1, 5), (1, 2.0),
+    ])
     def test_single_string_labels_rejected(self, channels, labels):
-        with pytest.raises(InvalidInputError, match="channel_labels"):
+        with pytest.raises(InvalidInputError, match="channel_labels must be a sequence of labels"):
             SignalMatrix(np.zeros((3, channels)), 1.0, labels)
 
     def test_rejects_complex_samples(self):

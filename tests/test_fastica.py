@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ebiunmix import fastica
@@ -24,7 +24,6 @@ from ebiunmix.fastica import (
     fit_fastica,
     separate,
 )
-from ebiunmix.linalg import SymEigen
 from ebiunmix.metrics import amari_index, match_components
 from ebiunmix.pca import fit_pca, whiten
 
@@ -172,18 +171,18 @@ class TestFitFastica:
         assert k == mixing.shape[1]
         assert np.abs(model.unmixing @ model.unmixing.T - np.eye(k)).max() < 1e-8
 
-    @pytest.mark.parametrize("failing_call", [2, 3, 4])
+    @pytest.mark.parametrize("failing_call", [1, 2, 3, 4])
     def test_rank_deficient_update_flagged_not_raised(self, monkeypatch, failing_call):
-        # call 1 decorrelates the random start; call n >= 2 is update n - 1
+        # the random start is orthonormal as drawn; call n decorrelates update n
         sources = uniform_sources(4000, seed=10)
         white, _, _ = whitened_mixture(sources, KNOWN_MIXING)
         reference = fit_fastica(white, IcaConfig(seed=4))
         # the failing update exists, so the fit had not converged before it
-        assert reference.convergence.iterations_used >= failing_call - 1
+        assert reference.convergence.iterations_used >= failing_call
         monkeypatch.setattr(fastica, "_symmetric_decorrelate", raising_on_call(failing_call))
         model = fit_fastica(white, IcaConfig(seed=4))
         conv = model.convergence
-        done = failing_call - 2
+        done = failing_call - 1
         assert conv.iterations_used == done
         assert conv.per_iteration_deltas == reference.convergence.per_iteration_deltas[:done]
         assert conv.final_delta == (conv.per_iteration_deltas[-1] if done else 1.0)
@@ -195,11 +194,15 @@ class TestFitFastica:
             truncated = fit_fastica(white, IcaConfig(seed=4, max_iterations=done))
             assert np.array_equal(model.unmixing, truncated.unmixing)
 
-    def test_rank_deficient_start_raises(self, monkeypatch):
-        white, _, _ = whitened_mixture(uniform_sources(4000, seed=10), KNOWN_MIXING)
+    @pytest.mark.parametrize("mixing", [KNOWN_MIXING, FULL_RANK_MIXING], ids=["2x2", "4x4"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_start_rows_orthonormal(self, monkeypatch, mixing, seed):
+        # with the first update refused, the fit returns its start, reordered and re-signed
+        k = mixing.shape[1]
+        white, _, _ = whitened_mixture(uniform_sources(2000, seed=10, k=k), mixing)
         monkeypatch.setattr(fastica, "_symmetric_decorrelate", raising_on_call(1))
-        with pytest.raises(DegenerateComponentError):
-            fit_fastica(white, IcaConfig(seed=4))
+        start = fit_fastica(white, IcaConfig(seed=seed)).unmixing
+        assert np.abs(start @ start.T - np.eye(k)).max() <= 1e-14
 
     def test_pow3_contrast_works(self):
         sources = uniform_sources(10000, seed=12)
@@ -284,10 +287,9 @@ class TestSymmetricDecorrelate:
         log_scale=st.floats(-1.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    # its spectral pass ends 2.7e-3 from orthonormal: two polish steps leave 1e-10
     @example(k=3, log_cond=5.0, log_scale=1.0, seed=168)
-    # two singular values near 1/cond: three polish steps leave 5e-10 and 6e-4
     @example(k=3, log_cond=5.5, log_scale=1.0, seed=211)
+    # the worst conditioning the step cap is sized for
     @example(k=4, log_cond=6.0, log_scale=1.0, seed=1082)
     def test_rows_orthonormal_and_polar_factor(self, k, log_cond, log_scale, seed):
         # W = Q1 diag(s) Q2 with cond(W) = 10^log_cond, largest s = 10^log_scale
@@ -295,7 +297,6 @@ class TestSymmetricDecorrelate:
         q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
         spread = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(k - 2, 0))])[:k]
         s = 10.0 ** (log_scale - log_cond * spread)
-        assume(s.min() ** 2 > 10 * fastica._DECORRELATION_EIGENVALUE_FLOOR)
         w = q1 @ np.diag(s) @ q2
         out = fastica._symmetric_decorrelate(w)
         assert np.abs(out @ out.T - np.eye(k)).max() <= 1e-14
@@ -310,20 +311,25 @@ class TestSymmetricDecorrelate:
         with pytest.raises(DegenerateComponentError):
             fastica._symmetric_decorrelate(w)
 
-    def test_polish_that_does_not_converge_raises(self, rng, monkeypatch):
-        # a spectral pass that leaves every singular value at 2.5, from which the
-        # Newton-Schulz step s -> 1.5 s - 0.5 s^3 diverges (-4.06, 27.4, ...) to NaN
-        real = fastica.sym_eigen
+    def test_polish_that_does_not_converge_raises(self, rng):
+        # an exactly rank-deficient W: its zero singular value never reaches 1
+        w = rng.standard_normal((3, 3))
+        w[2] = w[0] - w[1]
+        cap = f"not orthonormal within {fastica._NEWTON_SCHULZ_MAX_STEPS} Newton-Schulz steps"
+        with pytest.raises(DegenerateComponentError, match=cap) as info:
+            fastica._symmetric_decorrelate(w)
+        assert info.value.component in range(3)
 
-        def shrunk(m):
-            eig = real(m)
-            return SymEigen(eig.eigenvalues / 6.25, eig.eigenvectors)
+    @pytest.mark.parametrize("w", [np.zeros((2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])],
+                             ids=["zero", "nan"])
+    def test_zero_or_nan_raises(self, w):
+        with pytest.raises(DegenerateComponentError, match="not orthonormal"):
+            fastica._symmetric_decorrelate(w)
 
-        monkeypatch.setattr(fastica, "sym_eigen", shrunk)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            DegenerateComponentError, match="not orthonormal after 10"
-        ):
-            fastica._symmetric_decorrelate(rng.standard_normal((3, 3)))
+    def test_tiny_scale_decorrelates_to_identity(self):
+        # perfectly conditioned: the scaling, not an absolute floor, decides
+        out = fastica._symmetric_decorrelate(1e-7 * np.eye(3))
+        assert np.abs(out - np.eye(3)).max() <= 1e-15
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
         calls = []
@@ -336,8 +342,9 @@ class TestSymmetricDecorrelate:
         monkeypatch.setattr(fastica, "sym_eigen", counting)
         white, _, _ = whitened_mixture(uniform_sources(4000, seed=10, k=4), FULL_RANK_MIXING)
         model = fit_fastica(white, IcaConfig(seed=4))
-        # one call decorrelates the random start, one each update
-        assert len(calls) == model.convergence.iterations_used + 1
+        # the random start; the updates are decorrelated by matmuls alone
+        assert model.convergence.iterations_used > 1
+        assert len(calls) == 1
 
 
 class TestSeparate:

@@ -398,6 +398,18 @@ class TestCsvIO:
             read_csv(path)
         assert err.value.line_number == 7
 
+    @pytest.mark.parametrize("text", [
+        "# rate_hz=100\nch1,ch2\n1.0,2.0\n",
+        "ch1,ch2\n# rate_hz=100\n1.0,2.0\n",
+    ], ids=["before_comment", "before_header"])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        sig = read_csv(path)
+        assert sig.channel_labels == ("ch1", "ch2")
+        assert sig.sample_rate_hz == 100.0
+        assert np.array_equal(sig.samples, [[1.0, 2.0]])
+
     @pytest.mark.parametrize("rate", ["abc", "0", "-5", "nan", "inf", "1_000"])
     def test_bad_rate_rejected_at_its_line(self, tmp_path, rate):
         path = tmp_path / "in.csv"
