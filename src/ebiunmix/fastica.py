@@ -7,8 +7,11 @@ update
 
 applied to all rows at once, each step followed by symmetric decorrelation
 W <- (W W^T)^(-1/2) W, so every component is treated equally (Hyvarinen
-1999, "Fast and robust fixed-point algorithms for ICA"), by Newton-Schulz
-iteration (Hyvarinen & Oja 2000) from a random orthonormal start.
+1999, "Fast and robust fixed-point algorithms for ICA"), from a random
+orthonormal start. (W W^T)^(-1/2) W is the orthogonal polar factor of W. At
+k = 2, the size the default chain fits, it is taken in closed form (Higham
+1986, "Computing the polar decomposition - with applications"); at every
+other k by Newton-Schulz iteration (Hyvarinen & Oja 2000).
 
 The usual ICA sign/permutation ambiguity is canonicalized after
 convergence: components are ordered by descending non-Gaussianity score
@@ -42,6 +45,9 @@ _ORTHONORMAL_TOL = 1e-14
 # Each step lifts a small singular value ~1.5x, so the cap is the rank test:
 # cond(W) = 1e6 takes up to ~40 steps, 1e9 is far from orthonormal after 50.
 _NEWTON_SCHULZ_MAX_STEPS = 50
+# The 2 x 2 rank test: |det W| / |W|_F^2 = s1 s2 / (s1^2 + s2^2) ~ 1 / cond(W),
+# so like the step cap above it refuses W beyond cond ~1e8.
+_POLAR_2X2_MIN_DET = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,8 @@ def contrast_eval(contrast: str, u):
     if contrast == "logcosh":
         g = np.tanh(u)
         return g, 1.0 - g * g
-    if contrast == "pow3":
-        return u**3, 3.0 * u**2
-    raise InvalidInputError(f"unknown contrast {contrast!r}")
+    u2 = u * u  # pow3; IcaConfig admits no other name
+    return u2 * u, 3.0 * u2
 
 
 def _logcosh(u: np.ndarray) -> np.ndarray:
@@ -110,6 +115,37 @@ def _logcosh(u: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
+    """W <- (W W^T)^(-1/2) W: in closed form at k = 2, else by _newton_schulz.
+
+    With W = [[a, b], [c, d]], sigma = sign(det W) and (p, q) = (a + sigma d,
+    b - sigma c), the polar factor is [[p, q], [-sigma q, sigma p]] / |(p, q)|:
+    the rotation (sigma = 1) or reflection (sigma = -1) nearest W. |(p, q)| is
+    the sum of W's singular values, so the division loses no precision.
+
+    Raises:
+        DegenerateComponentError: W is zero, not finite, or numerically
+            singular: at k = 2, |det W| is not above _POLAR_2X2_MIN_DET times
+            |W|_F^2, which a W whose squared entries under- or overflow fails.
+    """
+    if w.shape[0] != 2:
+        return _newton_schulz(w)
+    (a, b), (c, d) = w.tolist()
+    det = a * d - b * c
+    norm2 = a * a + b * b + c * c + d * d
+    if not abs(det) > _POLAR_2X2_MIN_DET * norm2:  # a NaN or infinite W fails it
+        raise DegenerateComponentError(
+            f"unmixing rows not orthonormal: 2 x 2 update numerically singular "
+            f"(|det W| = {abs(det):.3e}, |W|_F^2 = {norm2:.3e})",
+            component=int(c * c + d * d < a * a + b * b),  # the shorter row
+        )
+    sigma = 1.0 if det > 0 else -1.0
+    p, q = a + sigma * d, b - sigma * c
+    h = math.hypot(p, q)
+    p, q = p / h, q / h
+    return np.array([[p, q], [-sigma * q, sigma * p]])
+
+
+def _newton_schulz(w: np.ndarray) -> np.ndarray:
     """W <- (W W^T)^(-1/2) W by Newton-Schulz iteration (Hyvarinen & Oja 2000).
 
     W is divided by the square root of the largest row sum of |W W^T|, at
@@ -209,7 +245,8 @@ def _canonicalize(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     score = _logcosh(s).mean(axis=0) - GAUSSIAN_LOGCOSH_MEAN
     order = np.argsort(-score, kind="stable")
     s = s[:, order]
-    skew = np.mean(s**3, axis=0) / np.mean(s * s, axis=0) ** 1.5
+    s2 = s * s
+    skew = np.mean(s2 * s, axis=0) / np.mean(s2, axis=0) ** 1.5
     peak = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
     flip = np.where(np.abs(skew) >= _SKEWNESS_TOL, skew < 0, peak < 0)
     return np.where(flip[:, None], -w[order], w[order])

@@ -326,6 +326,38 @@ class TestSymmetricDecorrelate:
         with pytest.raises(DegenerateComponentError, match="not orthonormal"):
             fastica._symmetric_decorrelate(w)
 
+    @given(
+        log_cond=st.floats(0.0, 6.0),
+        log_scale=st.floats(-1.0, 1.0),
+        reflection=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_2x2_closed_form_matches_newton_schulz(self, log_cond, log_scale, reflection, seed):
+        rng = np.random.default_rng(seed)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+        w = q1 @ np.diag(10.0 ** (log_scale - np.array([0.0, log_cond]))) @ q2
+        if (np.linalg.det(w) < 0) != reflection:
+            w[1] = -w[1]
+        out = fastica._symmetric_decorrelate(w)
+        assert np.abs(out - fastica._newton_schulz(w)).max() <= 1e-13
+        assert np.abs(out @ out.T - np.eye(2)).max() <= 1e-14
+        assert (np.linalg.det(out) < 0) == reflection
+
+    def test_2x2_takes_closed_form(self, monkeypatch, rng):
+        monkeypatch.setattr(fastica, "_newton_schulz", None)  # never reached at k = 2
+        out = fastica._symmetric_decorrelate(rng.standard_normal((2, 2)))
+        assert np.abs(out @ out.T - np.eye(2)).max() <= 1e-14
+
+    @pytest.mark.parametrize("w", [
+        np.array([[1.0, 2.0], [0.5, 1.0]]),  # det exactly 0
+        np.array([[1.0, 0.0], [0.0, 1e-12]]) @ np.array([[0.6, 0.8], [-0.8, 0.6]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+    ], ids=["singular", "cond-1e12", "inf"])
+    def test_2x2_numerically_singular_raises(self, w):
+        with pytest.raises(DegenerateComponentError, match="not orthonormal") as info:
+            fastica._symmetric_decorrelate(w)
+        assert info.value.component in range(2)
+
     def test_tiny_scale_decorrelates_to_identity(self):
         # perfectly conditioned: the scaling, not an absolute floor, decides
         out = fastica._symmetric_decorrelate(1e-7 * np.eye(3))

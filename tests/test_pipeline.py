@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ebiunmix import pipeline
+from ebiunmix import fastica, pipeline
 from ebiunmix.dsp import SignalMatrix, frame_signal
 from ebiunmix.errors import (
     CsvFormatError,
@@ -155,6 +155,21 @@ class TestRunPipeline:
         assert not report.any_frame_failed
         assert all(not f.convergence["converged"] for f in report.frames)
         assert all(c is not None for c in components)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_2x2_closed_form_matches_newton_schulz(self, monkeypatch, seed):
+        mixture, _ = default_scenario(n=60000, seed=seed)
+        config = PipelineConfig(ica=IcaConfig(seed=seed))
+        components, report = run_pipeline(mixture, config)
+        monkeypatch.setattr(fastica, "_symmetric_decorrelate", fastica._newton_schulz)
+        reference, ref_report = run_pipeline(mixture, config)
+        assert len(report.frames) == len(ref_report.frames) == 6
+        for frame, ref in zip(report.frames, ref_report.frames):
+            assert frame.ok and ref.ok and frame.retained == 2
+            assert frame.convergence["iterations_used"] == ref.convergence["iterations_used"]
+            assert np.abs(np.array(frame.W) - np.array(ref.W)).max() <= 1e-12
+        for c, r in zip(components, reference):  # a swap or sign flip would differ by O(1)
+            assert np.abs(c.samples - r.samples).max() <= 1e-12
 
     def test_truth_length_mismatch_rejected(self):
         mixture, truth = default_scenario(n=25000, seed=0)
