@@ -10,15 +10,21 @@ W <- (W W^T)^(-1/2) W, so every component is treated equally (Hyvarinen
 1999, "Fast and robust fixed-point algorithms for ICA"), from a random
 orthonormal start. (W W^T)^(-1/2) W is the orthogonal polar factor of W. At
 k = 2, the size the default chain fits, it is taken in closed form (Higham
-1986, "Computing the polar decomposition - with applications"); at every
-other k by Newton-Schulz iteration (Hyvarinen & Oja 2000).
+1986, "Computing the polar decomposition - with applications"). At every
+other k, scaled Newton steps, which converge quadratically at any condition
+number, bring the update near orthogonal, and Newton-Schulz steps, which
+need only matrix products, polish it (Higham & Schreiber 1990, "Fast polar
+decomposition of an arbitrary matrix"). At every k an update counts as
+numerically singular when cond_F(W) = |W|_F |W^-1|_F exceeds 1e8.
 
 The usual ICA sign/permutation ambiguity is canonicalized after
-convergence: components are ordered by descending non-Gaussianity score
-E{G(s)} - E{G(nu)} with G = log cosh and nu standard normal, and each
-component's sign is fixed so its skewness is nonnegative (falling back to
-"largest-magnitude sample positive" when skewness is negligible). Identical
-input and seed therefore give bit-identical results.
+convergence: components are ordered by the signed score E{G(s)} - E{G(nu)},
+G = log cosh and nu standard normal, highest first. A super-Gaussian
+component (the cardiac pulse train) scores below zero, so it sorts after
+near-Gaussian ones: the sign, not only the distance from Gaussian, sets the
+order. Each component's sign is fixed so its skewness is nonnegative
+(falling back to "largest-magnitude sample positive" when skewness is
+negligible). Identical input and seed therefore give bit-identical results.
 """
 
 import math
@@ -42,12 +48,16 @@ CONTRASTS = ("logcosh", "pow3")
 _WHITENESS_TOL = 1e-3
 _SKEWNESS_TOL = 1e-3
 _ORTHONORMAL_TOL = 1e-14
-# Each step lifts a small singular value ~1.5x, so the cap is the rank test:
-# cond(W) = 1e6 takes up to ~40 steps, 1e9 is far from orthonormal after 50.
-_NEWTON_SCHULZ_MAX_STEPS = 50
-# The 2 x 2 rank test: |det W| / |W|_F^2 = s1 s2 / (s1^2 + s2^2) ~ 1 / cond(W),
-# so like the step cap above it refuses W beyond cond ~1e8.
-_POLAR_2X2_MIN_DET = 1e-8
+# The rank test at every k: 1 / cond_F(W) = 1 / (|W|_F |W^-1|_F) must exceed
+# it; at k = 2, |W^-1|_F = |W|_F / |det W|.
+_MIN_INVERSE_COND = 1e-8
+# The Newton phase hands over to Newton-Schulz after the step whose zeta is
+# within this of 1 (see _scaled_newton for why that lands in its basin).
+_NEWTON_HANDOVER = 0.2
+# Guards only: up to cond_F(W) = 1e8 the Newton phase takes at most 5 steps
+# and the polish at most 4.
+_NEWTON_MAX_STEPS = 8
+_NEWTON_SCHULZ_MAX_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,7 @@ def _logcosh(u: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W: in closed form at k = 2, else by _newton_schulz.
+    """W <- (W W^T)^(-1/2) W: in closed form at k = 2, else by _scaled_newton.
 
     With W = [[a, b], [c, d]], sigma = sign(det W) and (p, q) = (a + sigma d,
     b - sigma c), the polar factor is [[p, q], [-sigma q, sigma p]] / |(p, q)|:
@@ -123,16 +133,18 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     the sum of W's singular values, so the division loses no precision.
 
     Raises:
-        DegenerateComponentError: W is zero, not finite, or numerically
-            singular: at k = 2, |det W| is not above _POLAR_2X2_MIN_DET times
-            |W|_F^2, which a W whose squared entries under- or overflow fails.
+        DegenerateComponentError: W is not finite or numerically singular:
+            1 / cond_F(W) is not above _MIN_INVERSE_COND, which at k = 2 reads
+            |det W| / |W|_F^2. A W whose squared entries under- or overflow
+            fails it too. component is the row of W nearest the span of the
+            others, at k = 2 the shorter row.
     """
     if w.shape[0] != 2:
-        return _newton_schulz(w)
+        return _scaled_newton(w)
     (a, b), (c, d) = w.tolist()
     det = a * d - b * c
     norm2 = a * a + b * b + c * c + d * d
-    if not abs(det) > _POLAR_2X2_MIN_DET * norm2:  # a NaN or infinite W fails it
+    if not abs(det) > _MIN_INVERSE_COND * norm2:  # a NaN or infinite W fails it
         raise DegenerateComponentError(
             f"unmixing rows not orthonormal: 2 x 2 update numerically singular "
             f"(|det W| = {abs(det):.3e}, |W|_F^2 = {norm2:.3e})",
@@ -145,17 +157,62 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     return np.array([[p, q], [-sigma * q, sigma * p]])
 
 
+def _scaled_newton(w: np.ndarray) -> np.ndarray:
+    """W <- (W W^T)^(-1/2) W at any k: scaled Newton steps, then _newton_schulz.
+
+    A step X <- (zeta X + X^-T / zeta) / 2, zeta = (|X^-1|_F / |X|_F)^(1/2),
+    keeps the singular vectors and maps each singular value s to
+    (zeta s + 1 / (zeta s)) / 2, so it converges quadratically at any
+    condition number (Higham 1986). After one step every singular value is
+    at least 1, hence zeta <= 1, and zeta >= 1 - _NEWTON_HANDOVER bounds the
+    largest: at k <= 4 the step taken with that zeta leaves all of them in
+    [1, 1.33], inside |X X^T - I|_2 < 1, where each Newton-Schulz step
+    squares the error (Higham & Schreiber 1990). The first step never hands
+    over: zeta is 1 for a W with singular values 1e4 and 1e-4 too. At larger
+    k the bound loosens; _newton_schulz's scaling into (0, 1] keeps the
+    polish convergent at any k.
+
+    Raises:
+        DegenerateComponentError: as _symmetric_decorrelate; the row of W
+            nearest the span of the others is the column of W^-1 with the
+            largest norm.
+    """
+    try:
+        inv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        inv = np.full_like(w, np.nan)
+    norm, inv_norm = math.sqrt(np.vdot(w, w)), math.sqrt(np.vdot(inv, inv))
+    cond = norm * inv_norm
+    if not 0.0 < _MIN_INVERSE_COND * cond < 1.0:  # 0 when |W|_F underflows; NaN fails
+        k, unit = w.shape[0], inv / inv_norm
+        raise DegenerateComponentError(
+            f"unmixing rows not orthonormal: {k} x {k} update numerically singular "
+            f"(|W|_F |W^-1|_F = {cond:.3e})",
+            component=int(np.argmax((unit * unit).sum(axis=0))),
+        )
+    x = w
+    for step in range(_NEWTON_MAX_STEPS):
+        zeta = math.sqrt(inv_norm / norm)
+        x = (0.5 * zeta) * x + (0.5 / zeta) * inv.T
+        if step and abs(zeta - 1.0) <= _NEWTON_HANDOVER:
+            break
+        inv = np.linalg.inv(x)
+        norm, inv_norm = math.sqrt(np.vdot(x, x)), math.sqrt(np.vdot(inv, inv))
+    return _newton_schulz(x)
+
+
 def _newton_schulz(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W by Newton-Schulz iteration (Hyvarinen & Oja 2000).
+    """Polish a near-orthogonal W to (W W^T)^(-1/2) W by Newton-Schulz steps.
 
     W is divided by the square root of the largest row sum of |W W^T|, at
     least its largest singular value, so all singular values lie in (0, 1].
     Each step W <- 3/2 W - 1/2 W W^T W keeps the singular vectors and moves
-    every singular value towards 1, until max |W W^T - I| <= _ORTHONORMAL_TOL.
+    every singular value towards 1 (Hyvarinen & Oja 2000), until
+    max |W W^T - I| <= _ORTHONORMAL_TOL.
 
     Raises:
-        DegenerateComponentError: W is zero, not finite, or numerically
-            rank-deficient: not orthonormal within _NEWTON_SCHULZ_MAX_STEPS.
+        DegenerateComponentError: W is zero or not finite, or not
+            orthonormal within the _NEWTON_SCHULZ_MAX_STEPS guard.
     """
     eye = np.eye(w.shape[0])
     wwt = w @ w.T

@@ -27,7 +27,7 @@ from ebiunmix.fastica import (
 from ebiunmix.metrics import amari_index, match_components
 from ebiunmix.pca import fit_pca, whiten
 
-from oracles import canonical_unmixing, gauss_logcosh_mean
+from oracles import canonical_unmixing, gauss_logcosh_mean, newton_schulz_polar
 
 KNOWN_MIXING = np.array([[1.0, 0.5], [0.3, 1.0]])
 # Four sources into four channels: the full-rank shape of ica_only mode.
@@ -50,6 +50,18 @@ def raising_on_call(n):
         return real(w)
 
     return decorrelate
+
+
+def matrix_with_cond_f(rng, k, cond_f, scale=1.0):
+    """Q1 diag(s) Q2 with |s| |1/s| = cond_f: k - 1 singular values drawn
+    log-uniform from [cond_f^(-1/2), 1] times scale, the last one solved for."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+    others = 10.0 ** rng.uniform(-0.5 * np.log10(cond_f), 0.0, k - 1)
+    a, b = np.sum(others**2), np.sum(others**-2.0)
+    # (a + u)(b + 1/u) = cond_f^2 for u = t^2, the smaller root
+    m = cond_f**2 - a * b - 1.0
+    t = np.sqrt(2.0 * a / (m + np.sqrt(m * m - 4.0 * a * b)))
+    return scale * q1 @ np.diag(np.append(others, t)) @ q2
 
 
 def uniform_sources(n, seed, k=2):
@@ -289,7 +301,7 @@ class TestSymmetricDecorrelate:
     )
     @example(k=3, log_cond=5.0, log_scale=1.0, seed=168)
     @example(k=3, log_cond=5.5, log_scale=1.0, seed=211)
-    # the worst conditioning the step cap is sized for
+    # cond 1e6: Newton-Schulz alone would take ~40 steps here
     @example(k=4, log_cond=6.0, log_scale=1.0, seed=1082)
     def test_rows_orthonormal_and_polar_factor(self, k, log_cond, log_scale, seed):
         # W = Q1 diag(s) Q2 with cond(W) = 10^log_cond, largest s = 10^log_scale
@@ -312,16 +324,81 @@ class TestSymmetricDecorrelate:
             fastica._symmetric_decorrelate(w)
 
     def test_polish_that_does_not_converge_raises(self, rng):
-        # an exactly rank-deficient W: its zero singular value never reaches 1
+        # an exactly rank-deficient W: the rank test refuses it before any step
         w = rng.standard_normal((3, 3))
         w[2] = w[0] - w[1]
-        cap = f"not orthonormal within {fastica._NEWTON_SCHULZ_MAX_STEPS} Newton-Schulz steps"
-        with pytest.raises(DegenerateComponentError, match=cap) as info:
+        rank_test = "3 x 3 update numerically singular"
+        with pytest.raises(DegenerateComponentError, match=rank_test) as info:
             fastica._symmetric_decorrelate(w)
         assert info.value.component in range(3)
 
-    @pytest.mark.parametrize("w", [np.zeros((2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])],
-                             ids=["zero", "nan"])
+    def test_polish_guard_raises(self, monkeypatch, rng):
+        monkeypatch.setattr(fastica, "_NEWTON_SCHULZ_MAX_STEPS", 1)
+        guard = "not orthonormal within 1 Newton-Schulz steps"
+        with pytest.raises(DegenerateComponentError, match=guard) as info:
+            fastica._symmetric_decorrelate(matrix_with_cond_f(rng, 4, 1e3))
+        assert info.value.component in range(4)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("log_scale", [-1.0, 0.0, 1.0])
+    def test_one_rank_rule_at_every_k(self, rng, k, log_scale):
+        # refused above cond_F(W) = |W|_F |W^-1|_F = 1e8, decorrelated below it
+        for _ in range(10):
+            w = matrix_with_cond_f(rng, k, 1.01e8, 10.0**log_scale)
+            with pytest.raises(DegenerateComponentError, match="update numerically singular"):
+                fastica._symmetric_decorrelate(w)
+            w = matrix_with_cond_f(rng, k, 0.99e8, 10.0**log_scale)
+            out = fastica._symmetric_decorrelate(w)
+            assert np.abs(out @ out.T - np.eye(k)).max() <= 1e-14
+
+    def test_rank_test_names_row_nearest_span_of_others(self):
+        # rows 0 and 1 differ by 1e-10, so each lies that close to the span of the others
+        w = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-10], [0.0, 1.0, 0.0]])
+        with pytest.raises(DegenerateComponentError) as info:
+            fastica._symmetric_decorrelate(5.0 * w)
+        assert info.value.component in (0, 1)
+        w = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1e-9, 1e-9, 1e-9]])
+        with pytest.raises(DegenerateComponentError) as info:
+            fastica._symmetric_decorrelate(w)
+        assert info.value.component == 2
+
+    @pytest.mark.parametrize("log_cond", [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 7.99])
+    def test_cost_per_call_pinned(self, monkeypatch, rng, log_cond):
+        # scaled Newton is quadratic at any condition number; Newton-Schulz
+        # alone lifts a small singular value only ~1.5x a step (17-40 steps)
+        real_inv = np.linalg.inv
+        inverses = []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(1) or real_inv(a))
+        monkeypatch.setattr(fastica, "_NEWTON_SCHULZ_MAX_STEPS", 6)  # at most 5 polish steps
+        for _ in range(20):
+            w = matrix_with_cond_f(rng, 4, 10.0**log_cond, 10.0 ** rng.uniform(-1.0, 1.0))
+            inverses.clear()
+            out = fastica._symmetric_decorrelate(w)
+            assert len(inverses) <= 6
+            assert np.abs(out @ out.T - np.eye(4)).max() <= 1e-14
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_newton_phase_hands_over_inside_the_basin(self, monkeypatch, rng, k):
+        # every singular value in [1, 1.33]: |X X^T - I|_2 < 1 at the hand-over
+        handed_over = []
+        real = fastica._newton_schulz
+        monkeypatch.setattr(fastica, "_newton_schulz", lambda x: handed_over.append(x) or real(x))
+        ones = np.ones(k - 1)
+        big, small = 10.0**3.9, 10.0**-3.9  # cond_F(W) below 1e8
+        spectra = [np.append(ones, big), np.append(ones, small), np.append(ones, [big, small])[-k:]]
+        spectra += [10.0 ** rng.uniform(-3.5, 3.5, k) for _ in range(200)]
+        for s in spectra:
+            q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+            fastica._symmetric_decorrelate(q1 @ np.diag(s) @ q2)
+        assert len(handed_over) == len(spectra)
+        singular = np.array([np.linalg.svd(x, compute_uv=False) for x in handed_over])
+        assert singular.min() >= 1.0 - 1e-12 and singular.max() <= 1.33
+
+    @pytest.mark.parametrize("w", [
+        np.zeros((2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.zeros((3, 3)), np.diag([1.0, np.nan, 1.0]), np.diag([np.inf, 1.0, 1.0]),
+        1e-170 * np.eye(3),  # |W|_F^2 underflows to 0
+    ], ids=["zero", "nan", "zero-3x3", "nan-3x3", "inf-3x3", "underflow-3x3"])
     def test_zero_or_nan_raises(self, w):
         with pytest.raises(DegenerateComponentError, match="not orthonormal"):
             fastica._symmetric_decorrelate(w)
@@ -339,14 +416,27 @@ class TestSymmetricDecorrelate:
         if (np.linalg.det(w) < 0) != reflection:
             w[1] = -w[1]
         out = fastica._symmetric_decorrelate(w)
-        assert np.abs(out - fastica._newton_schulz(w)).max() <= 1e-13
+        assert np.abs(out - newton_schulz_polar(w)).max() <= 1e-13
         assert np.abs(out @ out.T - np.eye(2)).max() <= 1e-14
         assert (np.linalg.det(out) < 0) == reflection
 
     def test_2x2_takes_closed_form(self, monkeypatch, rng):
-        monkeypatch.setattr(fastica, "_newton_schulz", None)  # never reached at k = 2
+        monkeypatch.setattr(fastica, "_scaled_newton", None)  # never reached at k = 2
         out = fastica._symmetric_decorrelate(rng.standard_normal((2, 2)))
         assert np.abs(out @ out.T - np.eye(2)).max() <= 1e-14
+
+    @given(
+        k=st.integers(3, 4),
+        log_cond=st.floats(0.0, 4.0),
+        log_scale=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_newton_schulz_alone(self, k, log_cond, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+        s = 10.0 ** (log_scale - log_cond * np.append([0.0, 1.0], rng.uniform(0.0, 1.0, k - 2)))
+        w = q1 @ np.diag(s) @ q2
+        assert np.abs(fastica._symmetric_decorrelate(w) - newton_schulz_polar(w)).max() <= 1e-13
 
     @pytest.mark.parametrize("w", [
         np.array([[1.0, 2.0], [0.5, 1.0]]),  # det exactly 0
