@@ -199,6 +199,8 @@ def _cmd_run(args) -> int:
             print(f"frame {frame.index}: ok ({status}, {frame.seconds:.3f}s)")
         else:
             print(f"frame {frame.index}: FAILED at {frame.stage}: {frame.error}")
+    for warning in report.warnings:
+        print(f"warning: {warning}")
     print(f"report: {report_path}")
     return 2 if report.any_frame_failed else 0
 

@@ -8,14 +8,14 @@ update
 applied to all rows at once, each step followed by symmetric decorrelation
 W <- (W W^T)^(-1/2) W, so every component is treated equally (Hyvarinen
 1999, "Fast and robust fixed-point algorithms for ICA"), from a random
-orthonormal start. (W W^T)^(-1/2) W is the orthogonal polar factor of W. At
-k = 2, the size the default chain fits, it is taken in closed form (Higham
-1986, "Computing the polar decomposition - with applications"). At every
-other k, scaled Newton steps, which converge quadratically at any condition
-number, bring the update near orthogonal, and Newton-Schulz steps, which
-need only matrix products, polish it (Higham & Schreiber 1990, "Fast polar
-decomposition of an arbitrary matrix"). At every k an update counts as
-numerically singular when cond_F(W) = |W|_F |W^-1|_F exceeds 1e8.
+orthonormal start. (W W^T)^(-1/2) W is the orthogonal polar factor U V^T of
+the SVD W = U diag(s) V^T (Higham 1986, "Computing the polar decomposition -
+with applications"). At k = 2, the size the default chain fits, it is taken
+in closed form; at every other k from one LAPACK SVD, refined by one
+first-order correction to rounding level. At every k an update counts as
+numerically singular when cond_F(W) = |W|_F |W^-1|_F exceeds 1e8; an update
+with an infinite or NaN entry is refused before the SVD, which can fail to
+return on an infinite one.
 
 The usual ICA sign/permutation ambiguity is canonicalized after
 convergence: components are ordered by the signed score E{G(s)} - E{G(nu)},
@@ -47,17 +47,9 @@ CONTRASTS = ("logcosh", "pow3")
 
 _WHITENESS_TOL = 1e-3
 _SKEWNESS_TOL = 1e-3
-_ORTHONORMAL_TOL = 1e-14
 # The rank test at every k: 1 / cond_F(W) = 1 / (|W|_F |W^-1|_F) must exceed
 # it; at k = 2, |W^-1|_F = |W|_F / |det W|.
 _MIN_INVERSE_COND = 1e-8
-# The Newton phase hands over to Newton-Schulz after the step whose zeta is
-# within this of 1 (see _scaled_newton for why that lands in its basin).
-_NEWTON_HANDOVER = 0.2
-# Guards only: up to cond_F(W) = 1e8 the Newton phase takes at most 5 steps
-# and the polish at most 4.
-_NEWTON_MAX_STEPS = 8
-_NEWTON_SCHULZ_MAX_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ def _logcosh(u: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W: in closed form at k = 2, else by _scaled_newton.
+    """W <- (W W^T)^(-1/2) W: in closed form at k = 2, else by _polar_svd.
 
     With W = [[a, b], [c, d]], sigma = sign(det W) and (p, q) = (a + sigma d,
     b - sigma c), the polar factor is [[p, q], [-sigma q, sigma p]] / |(p, q)|:
@@ -135,12 +127,13 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     Raises:
         DegenerateComponentError: W is not finite or numerically singular:
             1 / cond_F(W) is not above _MIN_INVERSE_COND, which at k = 2 reads
-            |det W| / |W|_F^2. A W whose squared entries under- or overflow
-            fails it too. component is the row of W nearest the span of the
-            others, at k = 2 the shorter row.
+            |det W| / |W|_F^2 and at other k 1 / (sum s^2 sum s^-2)^(1/2). A
+            zero singular value, a NaN, or a W whose squared entries under- or
+            overflow fails it too. component is the row of W nearest the span
+            of the others, at k = 2 the shorter row.
     """
     if w.shape[0] != 2:
-        return _scaled_newton(w)
+        return _polar_svd(w)
     (a, b), (c, d) = w.tolist()
     det = a * d - b * c
     norm2 = a * a + b * b + c * c + d * d
@@ -157,80 +150,47 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     return np.array([[p, q], [-sigma * q, sigma * p]])
 
 
-def _scaled_newton(w: np.ndarray) -> np.ndarray:
-    """W <- (W W^T)^(-1/2) W at any k: scaled Newton steps, then _newton_schulz.
+def _polar_svd(w: np.ndarray) -> np.ndarray:
+    """W <- (W W^T)^(-1/2) W at any k: the polar factor from one SVD W = U diag(s) V^T.
 
-    A step X <- (zeta X + X^-T / zeta) / 2, zeta = (|X^-1|_F / |X|_F)^(1/2),
-    keeps the singular vectors and maps each singular value s to
-    (zeta s + 1 / (zeta s)) / 2, so it converges quadratically at any
-    condition number (Higham 1986). After one step every singular value is
-    at least 1, hence zeta <= 1, and zeta >= 1 - _NEWTON_HANDOVER bounds the
-    largest: at k <= 4 the step taken with that zeta leaves all of them in
-    [1, 1.33], inside |X X^T - I|_2 < 1, where each Newton-Schulz step
-    squares the error (Higham & Schreiber 1990). The first step never hands
-    over: zeta is 1 for a W with singular values 1e4 and 1e-4 too. At larger
-    k the bound loosens; _newton_schulz's scaling into (0, 1] keeps the
-    polish convergent at any k.
+    U V^T alone is as accurate as the SVD's normwise backward error allows:
+    off by up to about eps |W| / (s_i + s_j), 3e-13 at cond(W) = 1e4. One
+    correction step takes it to rounding level: the polar factor is
+    U (I + Omega) V^T with Omega skew, and to first order (C - C^T)_ij =
+    Omega_ij (s_i + s_j), C = U^T W V. W V is formed in long double, since
+    its columns for small s_j cancel; where long double is plain double the
+    step still runs, with less gain.
 
     Raises:
-        DegenerateComponentError: as _symmetric_decorrelate; the row of W
-            nearest the span of the others is the column of W^-1 with the
-            largest norm.
+        DegenerateComponentError: as _symmetric_decorrelate, with cond_F(W) =
+            (sum s^2 sum s^-2)^(1/2). component is the column of W^-1 =
+            V diag(1/s) U^T with the largest norm. A W whose |W|_F^2 is not
+            finite never reaches the SVD, which can fail to return on an
+            infinite entry; component is then its row with the largest
+            entry, or the first with a NaN.
     """
-    try:
-        inv = np.linalg.inv(w)
-    except np.linalg.LinAlgError:  # an exactly zero pivot
-        inv = np.full_like(w, np.nan)
-    norm, inv_norm = math.sqrt(np.vdot(w, w)), math.sqrt(np.vdot(inv, inv))
-    cond = norm * inv_norm
-    if not 0.0 < _MIN_INVERSE_COND * cond < 1.0:  # 0 when |W|_F underflows; NaN fails
-        k, unit = w.shape[0], inv / inv_norm
+    cond, finite = math.inf, math.isfinite(np.vdot(w, w))
+    if finite:
+        u, s, vt = np.linalg.svd(w)
+        sv = s.tolist()  # Python floats: 1 / x overflows to inf without a warning
+        if sv[-1] > 0.0:  # s is descending
+            cond = math.sqrt(sum(x * x for x in sv) * sum(1.0 / x / x for x in sv))
+    if not _MIN_INVERSE_COND * cond < 1.0:  # NaN (0 * inf) when |W|_F^2 underflows
+        if finite:
+            # |column j of W^-1|^2 = sum_i (U_ji / s_i)^2, here times min(s)^2,
+            # so a zero singular value weighs 1 and the others 0
+            r = np.divide(s[-1], s, out=np.ones_like(s), where=s > s[-1])
+            component = int(np.argmax((u * u) @ (r * r)))
+        else:
+            component = int(np.argmax(np.abs(w).max(axis=1)))
+        k = w.shape[0]
         raise DegenerateComponentError(
             f"unmixing rows not orthonormal: {k} x {k} update numerically singular "
             f"(|W|_F |W^-1|_F = {cond:.3e})",
-            component=int(np.argmax((unit * unit).sum(axis=0))),
+            component=component,
         )
-    x = w
-    for step in range(_NEWTON_MAX_STEPS):
-        zeta = math.sqrt(inv_norm / norm)
-        x = (0.5 * zeta) * x + (0.5 / zeta) * inv.T
-        if step and abs(zeta - 1.0) <= _NEWTON_HANDOVER:
-            break
-        inv = np.linalg.inv(x)
-        norm, inv_norm = math.sqrt(np.vdot(x, x)), math.sqrt(np.vdot(inv, inv))
-    return _newton_schulz(x)
-
-
-def _newton_schulz(w: np.ndarray) -> np.ndarray:
-    """Polish a near-orthogonal W to (W W^T)^(-1/2) W by Newton-Schulz steps.
-
-    W is divided by the square root of the largest row sum of |W W^T|, at
-    least its largest singular value, so all singular values lie in (0, 1].
-    Each step W <- 3/2 W - 1/2 W W^T W keeps the singular vectors and moves
-    every singular value towards 1 (Hyvarinen & Oja 2000), until
-    max |W W^T - I| <= _ORTHONORMAL_TOL.
-
-    Raises:
-        DegenerateComponentError: W is zero or not finite, or not
-            orthonormal within the _NEWTON_SCHULZ_MAX_STEPS guard.
-    """
-    eye = np.eye(w.shape[0])
-    wwt = w @ w.T
-    scale = math.sqrt(np.abs(wwt).sum(axis=1).max())
-    residual = eye - wwt
-    if scale > 0:  # a NaN scale fails the test too
-        w = w / scale
-        for _ in range(_NEWTON_SCHULZ_MAX_STEPS):
-            residual = eye - w @ w.T
-            if np.abs(residual).max() <= _ORTHONORMAL_TOL:  # a NaN residual fails it
-                return w
-            w = w + 0.5 * residual @ w  # = 3/2 W - 1/2 W W^T W
-    error = np.abs(residual).max(axis=1)
-    raise DegenerateComponentError(
-        f"unmixing rows not orthonormal within {_NEWTON_SCHULZ_MAX_STEPS} Newton-Schulz steps "
-        f"(max |W W^T - I| = {error.max():.3e})",
-        component=int(np.argmax(error)),
-    )
+    c = u.T @ np.matmul(w, vt.T, dtype=np.longdouble).astype(float)
+    return (u + u @ ((c - c.T) / (s[:, None] + s))) @ vt
 
 
 def _check_white(x: np.ndarray) -> None:

@@ -120,7 +120,8 @@ def run_pipeline(
     """Process every frame of `signal`; returns per-frame components and a report.
 
     Frames are independent: each uses ICA seed config.ica.seed + frame index,
-    so results do not depend on processing order.
+    so results do not depend on processing order. Samples after the last
+    whole frame are not processed; report.warnings says how many.
 
     Raises:
         FilterDesignError: the cutoff is not below the Nyquist frequency of
@@ -145,9 +146,15 @@ def run_pipeline(
     report = RunReport(config=asdict(config), frames=[])
 
     frames = frame_signal(signal, config.frame_len)
+    unprocessed = signal.n_samples - len(frames) * config.frame_len
     if not frames:
         report.warnings.append(
             f"frame_len {config.frame_len} exceeds signal length {signal.n_samples}; nothing to do"
+        )
+    elif unprocessed:
+        report.warnings.append(
+            f"the last {unprocessed} of {signal.n_samples} samples fill no whole frame of "
+            f"{config.frame_len} and were not processed"
         )
     truth_frames: list[SignalMatrix | None] = [None] * len(frames)
     if truth is not None:

@@ -143,13 +143,19 @@ def newton_schulz_polar(w, tol=1e-14, max_steps=50):
     """(W W^T)^(-1/2) W by Newton-Schulz steps alone, from W scaled so its
     singular values lie in (0, 1]: W <- 3/2 W - 1/2 W W^T W until
     max |W W^T - I| <= tol. Linear while a singular value is small (~1.5x
-    per step), so it needs ~40 steps at cond(W) = 1e6."""
-    eye = np.eye(w.shape[0])
+    per step), so it needs ~40 steps at cond(W) = 1e6.
+
+    The steps run in long double and the result is rounded to double: in
+    double, rounding in the early steps leaves the result up to 3e-13 from
+    the polar factor at cond(W) = 1e4, more than the tolerances it is
+    compared at."""
+    eye = np.eye(w.shape[0], dtype=np.longdouble)
+    w = np.asarray(w, dtype=np.longdouble)
     w = w / np.sqrt(np.abs(w @ w.T).sum(axis=1).max())
     for _ in range(max_steps):
         residual = eye - w @ w.T
         if np.abs(residual).max() <= tol:
-            return w
+            return w.astype(float)
         w = w + 0.5 * residual @ w
     raise AssertionError(f"not orthonormal within {max_steps} Newton-Schulz steps")
 

@@ -181,7 +181,12 @@ class TestRunCommand:
             assert len(period) == 1 + 501  # rfft bins of a 1000-sample frame
         for frame in report["frames"]:
             assert min(abs(r) for r in frame["matching"]["correlations"]) >= 0.95
-        assert "frame 0: ok" in capsys.readouterr().out
+        warning = "the last 5000 of 25000 samples fill no whole frame of 10000"
+        assert report["warnings"] == [f"{warning} and were not processed"]
+        lines = capsys.readouterr().out.splitlines()[-4:]  # after synth's two lines
+        assert lines[0].startswith("frame 0: ok") and lines[1].startswith("frame 1: ok")
+        assert lines[2] == f"warning: {report['warnings'][0]}"
+        assert lines[3] == f"report: {out / 'demo_mixture_report.json'}"
 
     def test_deterministic_outputs_byte_identical(self, tmp_path):
         mixture_path, truth_path = synth_files(tmp_path, seed="9")

@@ -29,6 +29,8 @@ from ebiunmix.pipeline import (
 )
 from ebiunmix.synth import default_scenario
 
+from oracles import newton_schulz_polar
+
 
 def strip_timings(report_dict):
     clean = json.loads(json.dumps(report_dict))
@@ -161,8 +163,8 @@ class TestRunPipeline:
         mixture, _ = default_scenario(n=60000, seed=seed)
         config = PipelineConfig(ica=IcaConfig(seed=seed))
         components, report = run_pipeline(mixture, config)
-        # the general path: scaled Newton, then Newton-Schulz
-        monkeypatch.setattr(fastica, "_symmetric_decorrelate", fastica._scaled_newton)
+        # the general path: one SVD
+        monkeypatch.setattr(fastica, "_symmetric_decorrelate", fastica._polar_svd)
         reference, ref_report = run_pipeline(mixture, config)
         assert len(report.frames) == len(ref_report.frames) == 6
         for frame, ref in zip(report.frames, ref_report.frames):
@@ -171,6 +173,22 @@ class TestRunPipeline:
             assert np.abs(np.array(frame.W) - np.array(ref.W)).max() <= 1e-12
         for c, r in zip(components, reference):  # a swap or sign flip would differ by O(1)
             assert np.abs(c.samples - r.samples).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ica_only_svd_polar_matches_newton_schulz(self, monkeypatch, seed):
+        mixture, _ = default_scenario(n=60000, seed=seed)
+        config = PipelineConfig(mode="ica_only", ica=IcaConfig(seed=seed))
+        _, report = run_pipeline(mixture, config)
+        monkeypatch.setattr(fastica, "_symmetric_decorrelate", newton_schulz_polar)
+        _, ref_report = run_pipeline(mixture, config)
+        assert len(report.frames) == len(ref_report.frames) == 6
+        both = [(f, r) for f, r in zip(report.frames, ref_report.frames)
+                if f.convergence["converged"] and r.convergence["converged"]]
+        assert len(both) >= 3
+        for frame, ref in both:
+            assert frame.retained == 4
+            assert frame.convergence["iterations_used"] == ref.convergence["iterations_used"]
+            assert np.abs(np.array(frame.W) - np.array(ref.W)).max() <= 1e-12
 
     def test_truth_length_mismatch_rejected(self):
         mixture, truth = default_scenario(n=25000, seed=0)
@@ -218,6 +236,17 @@ class TestRunPipeline:
         assert report.frames == []
         assert len(report.warnings) == 1
         assert "frame_len 10000 exceeds signal length 10" in report.warnings[0]
+
+    @pytest.mark.parametrize("n,warnings", [
+        (20000, []),
+        (20001, ["the last 1 of 20001 samples fill no whole frame of 10000 and were not processed"]),
+        (29999, ["the last 9999 of 29999 samples fill no whole frame of 10000 and were not processed"]),
+    ])
+    def test_unprocessed_tail_warns(self, n, warnings):
+        mixture, _ = default_scenario(n=n, seed=0)
+        _, report = run_pipeline(mixture, PipelineConfig())
+        assert len(report.frames) == n // 10000
+        assert report.warnings == warnings
 
     def test_package_errors_recorded_per_frame(self, monkeypatch):
         def degenerate(*args, **kwargs):
