@@ -12,10 +12,10 @@ orthonormal start. (W W^T)^(-1/2) W is the orthogonal polar factor U V^T of
 the SVD W = U diag(s) V^T (Higham 1986, "Computing the polar decomposition -
 with applications"). At k = 2, the size the default chain fits, it is taken
 in closed form; at every other k from one LAPACK SVD, refined by one
-first-order correction to rounding level. At every k an update counts as
-numerically singular when cond_F(W) = |W|_F |W^-1|_F exceeds 1e8; an update
-with an infinite or NaN entry is refused before the SVD, which can fail to
-return on an infinite one.
+first-order correction to rounding level. At every k an update is refused
+(the decorrelation returns None and the fit stops) when cond_F(W) =
+|W|_F |W^-1|_F exceeds 1e8; an update with an infinite or NaN entry is
+refused before the SVD, which can fail to return on an infinite one.
 
 The usual ICA sign/permutation ambiguity is canonicalized after
 convergence: components are ordered by the signed score E{G(s)} - E{G(nu)},
@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateComponentError,
-    DimensionError,
-    InvalidInputError,
-    NonWhiteInputError,
-)
+from .errors import DimensionError, InvalidInputError, NonWhiteInputError
 from .linalg import check_matrix, check_number, sym_eigen
 
 # E[log cosh X] for X ~ N(0, 1); the test suite re-derives this by quadrature.
@@ -116,7 +111,7 @@ def _logcosh(u: np.ndarray) -> np.ndarray:
     return au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)
 
 
-def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
+def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray | None:
     """W <- (W W^T)^(-1/2) W: in closed form at k = 2, else by _polar_svd.
 
     With W = [[a, b], [c, d]], sigma = sign(det W) and (p, q) = (a + sigma d,
@@ -124,13 +119,9 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     the rotation (sigma = 1) or reflection (sigma = -1) nearest W. |(p, q)| is
     the sum of W's singular values, so the division loses no precision.
 
-    Raises:
-        DegenerateComponentError: W is not finite or numerically singular:
-            1 / cond_F(W) is not above _MIN_INVERSE_COND, which at k = 2 reads
-            |det W| / |W|_F^2 and at other k 1 / (sum s^2 sum s^-2)^(1/2). A
-            zero singular value, a NaN, or a W whose squared entries under- or
-            overflow fails it too. component is the row of W nearest the span
-            of the others, at k = 2 the shorter row.
+    Returns None when 1 / cond_F(W) is not above _MIN_INVERSE_COND, which at
+    k = 2 reads |det W| / |W|_F^2; a zero singular value, a NaN or infinite
+    entry, or squared entries that under- or overflow all fail it.
     """
     if w.shape[0] != 2:
         return _polar_svd(w)
@@ -138,11 +129,7 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     det = a * d - b * c
     norm2 = a * a + b * b + c * c + d * d
     if not abs(det) > _MIN_INVERSE_COND * norm2:  # a NaN or infinite W fails it
-        raise DegenerateComponentError(
-            f"unmixing rows not orthonormal: 2 x 2 update numerically singular "
-            f"(|det W| = {abs(det):.3e}, |W|_F^2 = {norm2:.3e})",
-            component=int(c * c + d * d < a * a + b * b),  # the shorter row
-        )
+        return None
     sigma = 1.0 if det > 0 else -1.0
     p, q = a + sigma * d, b - sigma * c
     h = math.hypot(p, q)
@@ -150,7 +137,7 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     return np.array([[p, q], [-sigma * q, sigma * p]])
 
 
-def _polar_svd(w: np.ndarray) -> np.ndarray:
+def _polar_svd(w: np.ndarray) -> np.ndarray | None:
     """W <- (W W^T)^(-1/2) W at any k: the polar factor from one SVD W = U diag(s) V^T.
 
     U V^T alone is as accurate as the SVD's normwise backward error allows:
@@ -161,34 +148,19 @@ def _polar_svd(w: np.ndarray) -> np.ndarray:
     its columns for small s_j cancel; where long double is plain double the
     step still runs, with less gain.
 
-    Raises:
-        DegenerateComponentError: as _symmetric_decorrelate, with cond_F(W) =
-            (sum s^2 sum s^-2)^(1/2). component is the column of W^-1 =
-            V diag(1/s) U^T with the largest norm. A W whose |W|_F^2 is not
-            finite never reaches the SVD, which can fail to return on an
-            infinite entry; component is then its row with the largest
-            entry, or the first with a NaN.
+    Returns None as _symmetric_decorrelate does, with cond_F(W) =
+    (sum s^2 sum s^-2)^(1/2), or when |W|_F^2 is not finite: such a W never
+    reaches the SVD, which can fail to return on an infinite entry.
     """
-    cond, finite = math.inf, math.isfinite(np.vdot(w, w))
-    if finite:
-        u, s, vt = np.linalg.svd(w)
-        sv = s.tolist()  # Python floats: 1 / x overflows to inf without a warning
-        if sv[-1] > 0.0:  # s is descending
-            cond = math.sqrt(sum(x * x for x in sv) * sum(1.0 / x / x for x in sv))
+    if not math.isfinite(np.vdot(w, w)):
+        return None
+    u, s, vt = np.linalg.svd(w)
+    sv = s.tolist()  # Python floats: 1 / x overflows to inf without a warning
+    if not sv[-1] > 0.0:  # s is descending
+        return None
+    cond = math.sqrt(sum(x * x for x in sv) * sum(1.0 / x / x for x in sv))
     if not _MIN_INVERSE_COND * cond < 1.0:  # NaN (0 * inf) when |W|_F^2 underflows
-        if finite:
-            # |column j of W^-1|^2 = sum_i (U_ji / s_i)^2, here times min(s)^2,
-            # so a zero singular value weighs 1 and the others 0
-            r = np.divide(s[-1], s, out=np.ones_like(s), where=s > s[-1])
-            component = int(np.argmax((u * u) @ (r * r)))
-        else:
-            component = int(np.argmax(np.abs(w).max(axis=1)))
-        k = w.shape[0]
-        raise DegenerateComponentError(
-            f"unmixing rows not orthonormal: {k} x {k} update numerically singular "
-            f"(|W|_F |W^-1|_F = {cond:.3e})",
-            component=component,
-        )
+        return None
     c = u.T @ np.matmul(w, vt.T, dtype=np.longdouble).astype(float)
     return (u + u @ ((c - c.T) / (s[:, None] + s))) @ vt
 
@@ -217,8 +189,9 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
 
     Non-convergence is not an error: the model is returned with
     convergence.converged = False so the caller can report it. An update
-    that cannot be decorrelated (numerically rank-deficient, or not finite)
-    ends the iteration early the same way, with the last orthonormal W.
+    that _symmetric_decorrelate refuses (numerically rank-deficient, or not
+    finite: it returns None) ends the iteration early the same way, with the
+    last orthonormal W.
     """
     x = check_matrix(white, "white")
     _check_white(x)
@@ -229,15 +202,14 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
     deltas = []
     for _ in range(config.max_iterations):
         g, g_prime = contrast_eval(config.contrast, x @ w.T)
-        try:
-            w_new = _symmetric_decorrelate((g.T @ x) / n - g_prime.mean(axis=0)[:, None] * w)
-        except DegenerateComponentError:
+        w_new = _symmetric_decorrelate((g.T @ x) / n - g_prime.mean(axis=0)[:, None] * w)
+        if w_new is None:
             break  # keep the last orthonormal w; the report says not converged
         deltas.append(float(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))).max()))
         w = w_new
         if deltas[-1] < config.tolerance:
             break
-    final = deltas[-1] if deltas else 1.0  # 1.0: the first update already lost rank
+    final = deltas[-1] if deltas else 1.0  # 1.0: the first update was refused
     report = ConvergenceReport(
         iterations_used=len(deltas),
         final_delta=final,

@@ -124,13 +124,17 @@ def run_pipeline(
     whole frame are not processed; report.warnings says how many.
 
     Raises:
+        DimensionError: the signal has fewer channels than
+            retained_components in a mode that uses it (not ica_only), or
+            truth has a different number of samples.
         FilterDesignError: the cutoff is not below the Nyquist frequency of
             the rate the filter runs at; raised once, before framing.
         InsufficientDataError: a decimated frame has fewer samples than the
             signal has channels; raised once, before framing.
         InvalidInputError: truth is sampled at a different rate than signal.
     """
-    if signal.n_channels < config.retained_components:
+    # ica_only ignores retained_components and whitens at full rank
+    if config.mode != "ica_only" and signal.n_channels < config.retained_components:
         raise DimensionError(
             f"input has {signal.n_channels} channels, fewer than "
             f"retained_components={config.retained_components}"

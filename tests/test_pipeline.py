@@ -229,6 +229,22 @@ class TestRunPipeline:
         assert result.stage == "pca"
         assert result.error.startswith("DimensionError:")
 
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    @pytest.mark.parametrize("channels", range(1, 6))
+    @pytest.mark.parametrize("retained", range(1, 6))
+    def test_up_front_checks_agree_with_frame_stages(self, mode, channels, retained):
+        # run_pipeline refuses up front exactly the configs whose every frame fails at pca
+        samples = np.random.default_rng(channels).standard_normal((2000, channels))
+        signal = SignalMatrix(samples, 1000.0)
+        config = PipelineConfig(frame_len=1000, retained_components=retained, mode=mode)
+        results = [process_frame(f, config, i)[1] for i, f in enumerate(frame_signal(signal, 1000))]
+        try:
+            run_pipeline(signal, config)
+            refused = False
+        except DimensionError:
+            refused = True
+        assert {r.stage == "pca" for r in results} == {refused}
+
     def test_short_signal_warns_and_produces_nothing(self):
         sig = SignalMatrix(np.zeros((10, 4)), 1000.0)
         components, report = run_pipeline(sig, PipelineConfig())
