@@ -121,7 +121,9 @@ def run_pipeline(
 
     Frames are independent: each uses ICA seed config.ica.seed + frame index,
     so results do not depend on processing order. Samples after the last
-    whole frame are not processed; report.warnings says how many.
+    whole frame are not processed; report.warnings says how many. ica_only
+    whitens at full rank; report.warnings says so when retained_components
+    asks for another dimension.
 
     Raises:
         DimensionError: the signal has fewer channels than
@@ -148,6 +150,11 @@ def run_pipeline(
         )
     t_start = time.perf_counter()
     report = RunReport(config=asdict(config), frames=[])
+    if config.mode == "ica_only" and config.retained_components != signal.n_channels:
+        report.warnings.append(
+            f"retained_components={config.retained_components} was not used: ica_only "
+            f"whitens at full rank, {signal.n_channels} components"
+        )
 
     frames = frame_signal(signal, config.frame_len)
     unprocessed = signal.n_samples - len(frames) * config.frame_len

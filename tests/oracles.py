@@ -4,10 +4,11 @@ These deliberately take a different computational route from the package:
 covariance by explicit double loops, eigenvalues from characteristic
 polynomial roots, Jacobi rotations as 2-column numpy products, determinants
 by cofactor expansion, filter responses from the analog prototype, filter
-outputs from the difference equation one sample at a time, spectra straight
-from the FFT, CSV text one formatted row at a time, ICA component signs one
-column at a time, component matching one correlation pair at a time, polar
-factors by plain Newton-Schulz iteration.
+outputs from the difference equation one sample at a time (and, for a
+bit-for-bit check, block by block with a carry loop over whole blocks),
+spectra straight from the FFT, CSV text one formatted row at a time, ICA
+component signs one column at a time, component matching one correlation
+pair at a time, polar factors by plain Newton-Schulz iteration.
 """
 
 import itertools
@@ -122,6 +123,34 @@ def biquad_recursion(x, c):
         x2, x1 = x1, xt
         y2, y1 = y1, yt
     return y
+
+
+def block_biquad_reference(x, c, block):
+    """Zero-state biquad by blocks of `block` samples, carried block after block.
+
+    The block route apply_filter took before its carry moved to the block
+    boundaries: each block's zero-state response is a matmul with the
+    Toeplitz matrix of the first `block` taps h of 1 / (1 + a1 z^-1 + a2 z^-2),
+    and a Python loop then adds, to all rows of each block in turn, the
+    response h[t + 1] y[-1] - a2 h[t] y[-2] to the previous block's last two
+    outputs. apply_filter must match it bit for bit."""
+    x = np.asarray(x, dtype=float)
+    n, p = x.shape
+    m = -(-n // block)
+    v = np.zeros((m * block, p))
+    v[:n] = c.b0 * x
+    v[1:n] += c.b1 * x[:-1]
+    v[2:n] += c.b2 * x[:-2]
+    h = np.empty(block + 1)
+    h[0], h[1] = 1.0, -c.a1
+    for i in range(2, block + 1):
+        h[i] = -c.a1 * h[i - 1] - c.a2 * h[i - 2]
+    toeplitz = np.tril(h[np.subtract.outer(np.arange(block), np.arange(block))])
+    y = np.matmul(toeplitz, v.reshape(m, block, p))
+    g1, g2 = h[1:, None], -c.a2 * h[:-1, None]
+    for k in range(1, m):
+        y[k] += g1 * y[k - 1, -1] + g2 * y[k - 1, -2]
+    return y.reshape(m * block, p)[:n]
 
 
 def canonical_unmixing(x, w, skew_tol=1e-3):

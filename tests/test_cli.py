@@ -188,6 +188,23 @@ class TestRunCommand:
         assert lines[2] == f"warning: {report['warnings'][0]}"
         assert lines[3] == f"report: {out / 'demo_mixture_report.json'}"
 
+    def test_ica_only_prints_that_components_is_unused(self, tmp_path, capsys):
+        mixture_path, _ = synth_files(tmp_path)
+        out = tmp_path / "ica_only5"
+        code = run_cli(
+            "run",
+            "--input", str(mixture_path),
+            "--out-dir", str(out),
+            "--mode", "ica_only",
+            "--components", "5",
+        )
+        assert code == 0
+        report = json.loads((out / "demo_mixture_report.json").read_text())
+        assert [frame["retained"] for frame in report["frames"]] == [4, 4]
+        unused = "retained_components=5 was not used: ica_only whitens at full rank, 4 components"
+        assert report["warnings"][0] == unused
+        assert f"warning: {unused}" in capsys.readouterr().out.splitlines()
+
     def test_deterministic_outputs_byte_identical(self, tmp_path):
         mixture_path, truth_path = synth_files(tmp_path, seed="9")
         outs = []

@@ -14,7 +14,7 @@ from ebiunmix.dsp import (
 )
 from ebiunmix.errors import FilterDesignError, FilterStabilityError, InvalidInputError
 
-from oracles import analog_lp2_response, biquad_recursion, periodogram
+from oracles import analog_lp2_response, biquad_recursion, block_biquad_reference, periodogram
 
 
 def make_signal(samples, rate=1000.0):
@@ -275,6 +275,37 @@ class TestApplyFilterOracles:
         assert self.relative_error(y, biquad_recursion(x, coeffs)) <= tol
         b, a = [coeffs.b0, coeffs.b1, coeffs.b2], [1.0, coeffs.a1, coeffs.a2]
         assert self.relative_error(y, lfilter(b, a, x, axis=0)) <= tol
+
+    @pytest.mark.parametrize("cutoff,rate", [setting[:2] for setting in SETTINGS])
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_bit_identical_to_whole_block_carry(self, cutoff, rate, n, channels):
+        rng = np.random.default_rng(n * 10 + channels)
+        x = rng.standard_normal((n, channels)) + 10.0 * np.arange(1, channels + 1)
+        coeffs = design_butterworth_lp2(cutoff, rate)
+        y = apply_filter(make_signal(x, rate), coeffs).samples
+        assert np.array_equal(y, block_biquad_reference(x, coeffs, _BLOCK))
+
+    @pytest.mark.parametrize("cutoff,rate,tol", SETTINGS)
+    @pytest.mark.parametrize("at", [_BLOCK - 2, _BLOCK - 1, 2 * _BLOCK - 1])
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_impulse_response_crosses_block_boundaries(self, cutoff, rate, tol, at, channels):
+        # An impulse in one of a block's last two samples reaches the next
+        # block only through the carry of those two outputs.
+        x = np.zeros((4 * _BLOCK + 3, channels))
+        x[at] = np.arange(1, channels + 1)  # a different height per channel
+        coeffs = design_butterworth_lp2(cutoff, rate)
+        y = apply_filter(make_signal(x, rate), coeffs).samples
+        assert self.relative_error(y, biquad_recursion(x, coeffs)) <= tol
+
+    def test_equal_coefficients_give_equal_output(self, rng):
+        x = make_signal(rng.standard_normal((5 * _BLOCK + 7, 4)) + 10.0)
+        first = design_butterworth_lp2(40.0, 1000.0)
+        second = BiquadCoefficients(first.b0, first.b1, first.b2, first.a1, first.a2)
+        assert second == first and second is not first
+        y = apply_filter(x, first).samples
+        apply_filter(make_signal(rng.standard_normal((3 * _BLOCK, 2))), second)
+        assert np.array_equal(apply_filter(x, second).samples, y)
 
     def test_leaves_input_unchanged(self, rng):
         x = rng.standard_normal((3 * _BLOCK + 5, 4)) + 100.0

@@ -92,6 +92,19 @@ class TestRunPipeline:
         assert components[0].samples.shape == (1000, 4)
         assert report.frames[0].retained == 4
 
+    @pytest.mark.parametrize("retained", [2, 4, 5])
+    def test_ica_only_warns_that_retained_components_is_unused(self, retained):
+        mixture, _ = default_scenario(n=20000, seed=2)
+        config = PipelineConfig(mode="ica_only", retained_components=retained)
+        _, report = run_pipeline(mixture, config)
+        assert report.config["retained_components"] == retained
+        assert [frame.retained for frame in report.frames] == [4, 4]
+        expected = [] if retained == 4 else [
+            f"retained_components={retained} was not used: ica_only whitens at full rank, "
+            "4 components"
+        ]
+        assert report.warnings == expected
+
     def test_filter_before_decimate(self):
         mixture, truth = default_scenario(n=25000, seed=6)
         config = PipelineConfig(filter_position="before_decimate")
