@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cutoff-hz", type=float, help="low-pass cutoff in Hz (default 40)")
     run.add_argument("--filter-position", choices=FILTER_POSITIONS,
                      help="filter after (default) or before decimation")
-    run.add_argument("--components", type=int, help="retained dimension (default 2)")
+    run.add_argument("--components", type=int,
+                     help="retained dimension (default 2; ica_only: the channel count)")
     run.add_argument("--contrast", choices=CONTRASTS, help="ICA contrast (default logcosh)")
     run.add_argument("--tol", type=float, help="ICA convergence tolerance in (0, 1) (default 1e-6)")
     run.add_argument("--max-iter", type=int, help="ICA iteration cap (default 200)")

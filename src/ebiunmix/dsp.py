@@ -4,6 +4,13 @@ Operates on SignalMatrix values: immutable (n samples x p channels) blocks
 with a sample rate and channel labels. All operations are pure; frames may
 be processed concurrently by the caller.
 
+Caller input is validated and copied once, when a SignalMatrix is built from
+it. A stage output is not checked again: framing and decimation return
+read-only views of their read-only input, and the filter a fresh array that
+is marked read-only. A hop that can overflow a finite input, the filter here
+and the first-sample subtraction of the pipeline, tests its output for
+non-finite entries once.
+
 apply_filter evaluates the biquad block by block from zero state, not sample
 by sample; only the last two outputs of each block are carried into the
 next, one Python float step per block and channel. At the pipeline's
@@ -32,7 +39,13 @@ _BLOCK = 64
 
 @dataclass(frozen=True)
 class SignalMatrix:
-    """Multichannel time-series block: rows are samples, columns are channels."""
+    """Multichannel time-series block: rows are samples, columns are channels.
+
+    The constructor validates and copies samples, so later changes to the
+    caller's array do not reach it; the copy is read-only. Stage outputs are
+    built with _derived instead: read-only views or fresh arrays, not copied
+    and not checked again.
+    """
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -55,6 +68,24 @@ class SignalMatrix:
         object.__setattr__(self, "samples", a)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "channel_labels", labels)
+
+    @classmethod
+    def _derived(cls, samples: np.ndarray, sample_rate_hz: float, channel_labels: tuple,
+                 check_finite: bool = False) -> "SignalMatrix":
+        """A stage output derived from validated SignalMatrix values, taken as it is.
+
+        samples is marked read-only and nothing is copied. Nothing is checked
+        either, except that check_finite tests once for entries that a hop
+        overflowed to, with the constructor's message.
+        """
+        if check_finite and not np.isfinite(samples).all():
+            raise InvalidInputError("samples contains non-finite entries")
+        samples.flags.writeable = False
+        signal = object.__new__(cls)
+        object.__setattr__(signal, "samples", samples)
+        object.__setattr__(signal, "sample_rate_hz", sample_rate_hz)
+        object.__setattr__(signal, "channel_labels", channel_labels)
+        return signal
 
     @property
     def n_samples(self) -> int:
@@ -105,7 +136,7 @@ def frame_signal(signal: SignalMatrix, frame_len: int) -> list[SignalMatrix]:
     """
     check_number(frame_len, "frame_len", integral=True, at_least=1)
     return [
-        SignalMatrix(
+        SignalMatrix._derived(
             signal.samples[start : start + frame_len],
             signal.sample_rate_hz,
             signal.channel_labels,
@@ -117,7 +148,7 @@ def frame_signal(signal: SignalMatrix, frame_len: int) -> list[SignalMatrix]:
 def decimate(signal: SignalMatrix, factor: int) -> SignalMatrix:
     """Keep every factor-th sample starting at index 0; rate divides by factor."""
     check_number(factor, "factor", integral=True, at_least=1)
-    return SignalMatrix(
+    return SignalMatrix._derived(
         signal.samples[::factor],
         signal.sample_rate_hz / factor,
         signal.channel_labels,
@@ -172,13 +203,15 @@ def apply_filter(signal: SignalMatrix, coeffs: BiquadCoefficients) -> SignalMatr
 
     Raises:
         FilterStabilityError: coefficients with poles on/outside the unit circle.
+        InvalidInputError: the output overflowed to non-finite entries.
     """
     if not coeffs.is_stable():
         raise FilterStabilityError(
             f"unstable biquad rejected (pole magnitudes {coeffs.pole_magnitudes()})"
         )
-    y = _biquad_pass(signal.samples, coeffs)
-    return SignalMatrix(y, signal.sample_rate_hz, signal.channel_labels)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+        y = _biquad_pass(signal.samples, coeffs)
+    return SignalMatrix._derived(y, signal.sample_rate_hz, signal.channel_labels, check_finite=True)
 
 
 def _biquad_pass(x: np.ndarray, c: BiquadCoefficients) -> np.ndarray:

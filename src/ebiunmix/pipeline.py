@@ -60,13 +60,15 @@ class PipelineConfig:
     decimation_factor: int = 10
     cutoff_hz: float = 40.0
     filter_position: str = "after_decimate"
-    retained_components: int = 2
+    retained_components: int | None = None  # None: the mode's own dimension, see dimension()
     ica: IcaConfig = field(default_factory=IcaConfig)
     mode: str = "pca_then_ica"
 
     def __post_init__(self):
-        for name in ("frame_len", "decimation_factor", "retained_components"):
+        for name in ("frame_len", "decimation_factor"):
             check_number(getattr(self, name), name, integral=True, at_least=1)
+        if self.retained_components is not None:
+            check_number(self.retained_components, "retained_components", integral=True, at_least=1)
         check_number(self.cutoff_hz, "cutoff_hz", above=0)
         if self.filter_position not in FILTER_POSITIONS:
             raise InvalidInputError(
@@ -76,6 +78,13 @@ class PipelineConfig:
             raise InvalidInputError(f"ica must be an IcaConfig, got {self.ica!r}")
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+    def dimension(self, n_channels: int) -> int:
+        """Components whitened and separated: n_channels in ica_only (full
+        rank), else retained_components, by default 2 (cardiac and respiratory)."""
+        if self.mode == "ica_only":
+            return n_channels
+        return 2 if self.retained_components is None else self.retained_components
 
 
 @dataclass
@@ -121,25 +130,25 @@ def run_pipeline(
 
     Frames are independent: each uses ICA seed config.ica.seed + frame index,
     so results do not depend on processing order. Samples after the last
-    whole frame are not processed; report.warnings says how many. ica_only
-    whitens at full rank; report.warnings says so when retained_components
-    asks for another dimension.
+    whole frame are not processed; report.warnings says how many.
+    retained_components left at None keeps 2 components in pca_only and
+    pca_then_ica; ica_only always whitens at full rank, and report.warnings
+    says so when retained_components is set to another dimension.
 
     Raises:
         DimensionError: the signal has fewer channels than
-            retained_components in a mode that uses it (not ica_only), or
-            truth has a different number of samples.
+            config.dimension() keeps (never in ica_only), or truth has a
+            different number of samples.
         FilterDesignError: the cutoff is not below the Nyquist frequency of
             the rate the filter runs at; raised once, before framing.
         InsufficientDataError: a decimated frame has fewer samples than the
             signal has channels; raised once, before framing.
         InvalidInputError: truth is sampled at a different rate than signal.
     """
-    # ica_only ignores retained_components and whitens at full rank
-    if config.mode != "ica_only" and signal.n_channels < config.retained_components:
+    k = config.dimension(signal.n_channels)
+    if signal.n_channels < k:
         raise DimensionError(
-            f"input has {signal.n_channels} channels, fewer than "
-            f"retained_components={config.retained_components}"
+            f"input has {signal.n_channels} channels, fewer than retained_components={k}"
         )
     _lowpass(config, signal.sample_rate_hz)  # an unrealisable cutoff fails here, once
     decimated_len = -(-config.frame_len // config.decimation_factor)
@@ -150,7 +159,7 @@ def run_pipeline(
         )
     t_start = time.perf_counter()
     report = RunReport(config=asdict(config), frames=[])
-    if config.mode == "ica_only" and config.retained_components != signal.n_channels:
+    if config.mode == "ica_only" and config.retained_components not in (None, signal.n_channels):
         report.warnings.append(
             f"retained_components={config.retained_components} was not used: ica_only "
             f"whitens at full rank, {signal.n_channels} components"
@@ -215,13 +224,13 @@ def process_frame(
         model = fit_pca(processed)
         result.eigenvalues = model.eigenvalues.tolist()
         # ica_only whitens at full rank, mirroring the "no PCA reduction" trial
-        k = processed.n_channels if config.mode == "ica_only" else config.retained_components
+        k = config.dimension(processed.n_channels)
         result.retained = k
         result.explained_variance = explained_variance(model, k)  # rejects k > channels
 
         if config.mode == "pca_only":
             scores = project(model, processed, k)
-            out = SignalMatrix(
+            out = SignalMatrix._derived(
                 scores, processed.sample_rate_hz, tuple(f"pc{i + 1}" for i in range(k))
             )
         else:
@@ -233,16 +242,16 @@ def process_frame(
             ica = fit_fastica(white, ica_config, dewhitening=dewhitening)
             result.W = ica.unmixing.tolist()
             result.A_est = ica.mixing_estimate.tolist()
-            result.convergence = asdict(ica.convergence)
+            result.convergence = dict(vars(ica.convergence))
 
             sources = separate(ica, white)
-            out = SignalMatrix(
+            out = SignalMatrix._derived(
                 sources, processed.sample_rate_hz, tuple(f"ic{i + 1}" for i in range(k))
             )
 
         if truth_processed is not None:
             stage = "match"
-            result.matching = asdict(match_components(out.samples, truth_processed.samples))
+            result.matching = dict(vars(match_components(out.samples, truth_processed.samples)))
     except (ValueError, RuntimeError) as exc:  # the package's error family
         result.stage = stage
         result.error = f"{type(exc).__name__}: {exc}"
@@ -271,7 +280,9 @@ def _preprocess(frame: SignalMatrix, config: PipelineConfig) -> SignalMatrix:
 
 def _from_first_sample(frame: SignalMatrix) -> SignalMatrix:
     """Each channel minus its first sample: the zero-state filter starts at rest."""
-    return SignalMatrix(frame.samples - frame.samples[0], frame.sample_rate_hz, frame.channel_labels)
+    with np.errstate(over="ignore"):  # an overflow fails _derived's test
+        samples = frame.samples - frame.samples[0]
+    return SignalMatrix._derived(samples, frame.sample_rate_hz, frame.channel_labels, check_finite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,18 @@ class TestRunCommand:
         assert report["warnings"][0] == unused
         assert f"warning: {unused}" in capsys.readouterr().out.splitlines()
 
+    def test_plain_ica_only_run_prints_no_unused_warning(self, tmp_path, capsys):
+        mixture_path, _ = synth_files(tmp_path)
+        out = tmp_path / "ica_only"
+        code = run_cli("run", "--input", str(mixture_path), "--out-dir", str(out),
+                       "--mode", "ica_only")
+        assert code == 0
+        report = json.loads((out / "demo_mixture_report.json").read_text())
+        assert report["config"]["retained_components"] is None
+        assert [frame["retained"] for frame in report["frames"]] == [4, 4]
+        assert not any("was not used" in w for w in report["warnings"])
+        assert "was not used" not in capsys.readouterr().out
+
     def test_deterministic_outputs_byte_identical(self, tmp_path):
         mixture_path, truth_path = synth_files(tmp_path, seed="9")
         outs = []

@@ -1,4 +1,6 @@
 """Tests for framing, decimation, and the Butterworth low-pass stage."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,46 @@ class TestApplyFilter:
         unstable = BiquadCoefficients(b0=1.0, b1=0.0, b2=0.0, a1=0.0, a2=1.5)
         with pytest.raises(FilterStabilityError):
             apply_filter(make_signal(np.zeros((10, 1))), unstable)
+
+
+class TestStageOutputs:
+    """Stage outputs are read-only views or fresh arrays of a validated signal."""
+
+    STAGES = ("frame_signal", "decimate", "apply_filter")
+
+    @staticmethod
+    def outputs(signal):
+        return {
+            "frame_signal": frame_signal(signal, _BLOCK)[1],
+            "decimate": decimate(signal, 3),
+            "apply_filter": apply_filter(signal, design_butterworth_lp2(40.0, 1000.0)),
+        }
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_output_is_read_only(self, rng, stage):
+        out = self.outputs(make_signal(rng.standard_normal((3 * _BLOCK, 3))))[stage]
+        assert not out.samples.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out.samples[0, 0] = 1.0
+
+    def test_caller_array_changed_later_reaches_no_output(self, rng):
+        source = rng.standard_normal((3 * _BLOCK, 3))
+        signal = make_signal(source)
+        outputs = self.outputs(signal)
+        kept = {stage: out.samples.copy() for stage, out in outputs.items()}
+        source[:] = 7.0
+        for stage, again in self.outputs(signal).items():
+            assert np.array_equal(outputs[stage].samples, kept[stage]), stage
+            assert np.array_equal(again.samples, kept[stage]), stage
+            assert not np.shares_memory(outputs[stage].samples, source), stage
+
+    def test_filter_overflow_rejected_without_a_warning(self):
+        x = np.zeros((3 * _BLOCK, 2))
+        x[_BLOCK, 1] = 1.5e308  # finite, but b1 * x overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="samples contains non-finite entries"):
+                apply_filter(make_signal(x), design_butterworth_lp2(40.0, 100.0))
 
 
 class TestApplyFilterOracles:

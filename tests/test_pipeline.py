@@ -3,6 +3,8 @@ import functools
 import json
 import re
 import tracemalloc
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from ebiunmix.errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from ebiunmix.fastica import IcaConfig
+from ebiunmix.fastica import ConvergenceReport, IcaConfig
+from ebiunmix.metrics import SeparationReport
 from ebiunmix.pipeline import (
     PipelineConfig,
     process_frame,
@@ -92,14 +95,14 @@ class TestRunPipeline:
         assert components[0].samples.shape == (1000, 4)
         assert report.frames[0].retained == 4
 
-    @pytest.mark.parametrize("retained", [2, 4, 5])
+    @pytest.mark.parametrize("retained", [None, 2, 4, 5])
     def test_ica_only_warns_that_retained_components_is_unused(self, retained):
         mixture, _ = default_scenario(n=20000, seed=2)
         config = PipelineConfig(mode="ica_only", retained_components=retained)
         _, report = run_pipeline(mixture, config)
         assert report.config["retained_components"] == retained
         assert [frame.retained for frame in report.frames] == [4, 4]
-        expected = [] if retained == 4 else [
+        expected = [] if retained in (None, 4) else [
             f"retained_components={retained} was not used: ica_only whitens at full rank, "
             "4 components"
         ]
@@ -125,6 +128,47 @@ class TestRunPipeline:
         assert report.frames[0].stage == "whiten"
         assert report.frames[0].error.startswith("DegenerateComponentError")
         assert report.frames[1].ok and components[1] is not None
+
+    @pytest.mark.parametrize("spike_rows,values", [
+        ((0, 10), (1e308, -1e308)),  # the first-sample subtraction overflows
+        ((10,), (1.5e308,)),  # finite after it, the filter's numerator overflows
+    ])
+    def test_overflow_fails_its_frame_alone_without_a_warning(self, spike_rows, values):
+        mixture, _ = default_scenario(n=20000, seed=1)
+        samples = mixture.samples.copy()
+        samples[list(spike_rows), 3] = values  # frame 0 only, on rows decimation keeps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            components, report = run_pipeline(
+                SignalMatrix(samples, mixture.sample_rate_hz), PipelineConfig()
+            )
+        assert components[0] is None
+        assert report.frames[0].stage == "preprocess"
+        assert report.frames[0].error == "InvalidInputError: samples contains non-finite entries"
+        assert report.frames[1].ok and components[1] is not None
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_outputs_read_only_and_apart_from_the_caller_array(self, mode):
+        mixture, truth = default_scenario(n=20000, seed=3)
+        source = mixture.samples.copy()
+        signal = SignalMatrix(source, mixture.sample_rate_hz)
+        config = PipelineConfig(mode=mode)
+        frames = frame_signal(signal, config.frame_len)
+        components, _ = run_pipeline(signal, config, truth)
+        kept = [c.samples.copy() for c in components]
+        for comp in components:
+            assert not comp.samples.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                comp.samples[0, 0] = 1.0
+            assert not np.shares_memory(comp.samples, source)
+            assert not np.shares_memory(comp.samples, signal.samples)
+        source[:] = 0.0  # the caller's array, after the SignalMatrix copied it
+        assert all(np.array_equal(f.samples, mixture.samples[i * 10000:(i + 1) * 10000])
+                   for i, f in enumerate(frames))
+        again, _ = run_pipeline(signal, config, truth)
+        for comp, before, after in zip(components, kept, again):
+            assert np.array_equal(comp.samples, before)
+            assert np.array_equal(after.samples, before)
 
     @pytest.mark.parametrize("cutoff_hz,position", [
         (50.0, "after_decimate"),  # the post-decimation Nyquist itself
@@ -244,7 +288,7 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize("mode", pipeline.MODES)
     @pytest.mark.parametrize("channels", range(1, 6))
-    @pytest.mark.parametrize("retained", range(1, 6))
+    @pytest.mark.parametrize("retained", [None, 1, 2, 3, 4, 5])
     def test_up_front_checks_agree_with_frame_stages(self, mode, channels, retained):
         # run_pipeline refuses up front exactly the configs whose every frame fails at pca
         samples = np.random.default_rng(channels).standard_normal((2000, channels))
@@ -307,6 +351,8 @@ class TestRunPipeline:
             assert frame[key] is not None
         assert len(frame["eigenvalues"]) == 4
         assert len(frame["W"]) == 2
+        assert list(frame["convergence"]) == [f.name for f in fields(ConvergenceReport)]
+        assert list(frame["matching"]) == [f.name for f in fields(SeparationReport)]
 
 
 class TestDeterminismAndFrameIndependence:
