@@ -25,6 +25,15 @@ near-Gaussian ones: the sign, not only the distance from Gaussian, sets the
 order. Each component's sign is fixed so its skewness is nonnegative
 (falling back to "largest-magnitude sample positive" when skewness is
 negligible). Identical input and seed therefore give bit-identical results.
+
+Which fits run to the iteration cap rests on their last bits, so every
+sample-axis statistic keeps one summation order: linalg.sample_mean sums
+each column sequentially in sample order, the bits of numpy's axis-0 mean
+on C-ordered input, and hands a single column (k = 1) or F-ordered input to
+that mean itself, which sums pairwise there. x @ W^T takes W^T as a C-order
+copy, which BLAS multiplies faster than the transposed view, with equal
+bits for n >= 2; separate keeps the view, since a single-row x is
+multiplied in another order with the copy.
 """
 
 import math
@@ -33,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NonWhiteInputError
-from .linalg import check_matrix, check_number, sym_eigen
+from .linalg import check_matrix, check_number, sample_mean, sym_eigen
 
 # E[log cosh X] for X ~ N(0, 1); the test suite re-derives this by quadrature.
 GAUSSIAN_LOGCOSH_MEAN = 0.3745672074914380
@@ -201,8 +210,8 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
     w = sym_eigen(a + a.T).eigenvectors.T  # orthonormal by construction
     deltas = []
     for _ in range(config.max_iterations):
-        g, g_prime = contrast_eval(config.contrast, x @ w.T)
-        w_new = _symmetric_decorrelate((g.T @ x) / n - g_prime.mean(axis=0)[:, None] * w)
+        g, g_prime = contrast_eval(config.contrast, x @ w.T.copy())
+        w_new = _symmetric_decorrelate((g.T @ x) / n - sample_mean(g_prime)[:, None] * w)
         if w_new is None:
             break  # keep the last orthonormal w; the report says not converged
         deltas.append(float(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))).max()))
@@ -230,12 +239,12 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
 
 def _canonicalize(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Fix component order and signs (see module docstring)."""
-    s = x @ w.T
-    score = _logcosh(s).mean(axis=0) - GAUSSIAN_LOGCOSH_MEAN
+    s = x @ w.T.copy()
+    score = sample_mean(_logcosh(s)) - GAUSSIAN_LOGCOSH_MEAN
     order = np.argsort(-score, kind="stable")
     s = s[:, order]
     s2 = s * s
-    skew = np.mean(s2 * s, axis=0) / np.mean(s2, axis=0) ** 1.5
+    skew = sample_mean(s2 * s) / sample_mean(s2) ** 1.5
     peak = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
     flip = np.where(np.abs(skew) >= _SKEWNESS_TOL, skew < 0, peak < 0)
     return np.where(flip[:, None], -w[order], w[order])

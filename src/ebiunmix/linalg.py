@@ -82,6 +82,21 @@ def check_number(value, name: str, integral: bool = False, *, above=None, at_lea
     raise InvalidInputError(f"{name} must be {span}, got {value}")
 
 
+def sample_mean(x: np.ndarray) -> np.ndarray:
+    """Column means of an (n x k) sample matrix, summed in sample order.
+
+    With k >= 2 columns on the inner axis (|row stride| > |column stride|:
+    C order, or rows of a C-order array taken with a step), x.mean(axis=0)
+    adds the rows one after another, and so does einsum("ij->j"), at about a
+    third of the cost at n = 1000: the bits are the same. At k = 1, or with
+    the samples on the inner axis (F order), mean sums pairwise, which
+    einsum does not reproduce, so those go to mean itself.
+    """
+    if x.shape[1] < 2 or abs(x.strides[0]) <= abs(x.strides[1]):
+        return x.mean(axis=0)
+    return np.einsum("ij->j", x) / x.shape[0]
+
+
 def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry of each column is positive."""
     peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]

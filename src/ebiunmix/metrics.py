@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, UndefinedCorrelationError
-from .linalg import check_matrix
+from .linalg import check_matrix, sample_mean
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ def _correlations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         raise InvalidInputError("correlation needs at least 2 samples")
     z = np.hstack([x, y])
-    z -= z.mean(axis=0)
+    z -= sample_mean(z)
     gram = z.T @ z
     ss = gram.diagonal()
     if not ss.all():

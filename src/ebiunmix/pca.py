@@ -4,6 +4,11 @@ fit_pca centers the columns, forms the sample covariance (1/(n-1)) X^T X
 and solves that p x p symmetric eigenproblem, which is the cheap direction
 when n >> p; the SVD route exists in linalg and is cross-checked against
 this one in the test suite.
+
+The means are linalg.sample_mean's: each column summed sequentially in
+sample order, the bits of numpy's x.mean(axis=0) on C-ordered input (and
+on the strided rows decimate returns); a single channel or F-ordered input
+goes to x.mean(axis=0) itself, whose sum is pairwise there.
 """
 
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .linalg import check_matrix, sym_eigen
+from .linalg import check_matrix, sample_mean, sym_eigen
 
 # Eigenvalues this far below zero (relative to the largest) are floating-point
 # noise and are clamped to 0; anything more negative indicates a broken input.
@@ -66,7 +71,7 @@ def fit_pca(data) -> PcaModel:
         raise InsufficientDataError(
             f"need at least 2 samples and as many samples as channels, got {x.shape}"
         )
-    means = x.mean(axis=0)
+    means = sample_mean(x)
     centered = x - means
     eig = sym_eigen(centered.T @ centered / (n - 1))  # sym_eigen symmetrises
 

@@ -9,6 +9,10 @@ bit-for-bit check, block by block with a carry loop over whole blocks),
 spectra straight from the FFT, CSV text one formatted row at a time, ICA
 component signs one column at a time, component matching one correlation
 pair at a time, polar factors by plain Newton-Schulz iteration.
+
+fastica_reference and correlations_reference are of another kind: each keeps
+an earlier form of package code, numpy's own axis-0 means and products with
+transposed views, which the package's current form must match bit for bit.
 """
 
 import itertools
@@ -166,6 +170,52 @@ def canonical_unmixing(x, w, skew_tol=1e-3):
         flip = skew < 0 if abs(skew) >= skew_tol else col[np.argmax(np.abs(col))] < 0
         out.append(-w[i] if flip else w[i])
     return np.array(out)
+
+
+def fastica_reference(x, config, dewhitening=None):
+    """fit_fastica's loop and canonical order with x.mean(axis=0) and x @ w.T
+    throughout, reusing the package's random start, contrast and polar factor.
+    Returns (unmixing, mixing_estimate, per_iteration_deltas)."""
+    from ebiunmix.fastica import (
+        GAUSSIAN_LOGCOSH_MEAN, _logcosh, _symmetric_decorrelate, contrast_eval,
+    )
+    from ebiunmix.linalg import sym_eigen
+
+    n, k = x.shape
+    a = np.random.default_rng(config.seed).standard_normal((k, k))
+    w = sym_eigen(a + a.T).eigenvectors.T
+    deltas = []
+    for _ in range(config.max_iterations):
+        g, g_prime = contrast_eval(config.contrast, x @ w.T)
+        w_new = _symmetric_decorrelate((g.T @ x) / n - g_prime.mean(axis=0)[:, None] * w)
+        if w_new is None:
+            break
+        deltas.append(float(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))).max()))
+        w = w_new
+        if deltas[-1] < config.tolerance:
+            break
+    s = x @ w.T
+    score = _logcosh(s).mean(axis=0) - GAUSSIAN_LOGCOSH_MEAN
+    order = np.argsort(-score, kind="stable")
+    s = s[:, order]
+    s2 = s * s
+    skew = np.mean(s2 * s, axis=0) / np.mean(s2, axis=0) ** 1.5
+    peak = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
+    flip = np.where(np.abs(skew) >= 1e-3, skew < 0, peak < 0)
+    w = np.where(flip[:, None], -w[order], w[order])
+    mixing = w.T if dewhitening is None else dewhitening.T @ w.T
+    return w, mixing, tuple(deltas)
+
+
+def correlations_reference(x, y):
+    """Correlation of every column of x with every column of y from one Gram
+    matrix of both, centred by z.mean(axis=0), clipped to [-1, 1]."""
+    z = np.hstack([x, y])
+    z -= z.mean(axis=0)
+    gram = z.T @ z
+    ss = gram.diagonal()
+    k = x.shape[1]
+    return np.clip(gram[:k, k:] / np.sqrt(np.outer(ss[:k], ss[k:])), -1.0, 1.0)
 
 
 def newton_schulz_polar(w, tol=1e-14, max_steps=50):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ebiunmix import fastica
 from ebiunmix.errors import DimensionError, InvalidInputError, NonWhiteInputError
 from ebiunmix.fastica import (
+    CONTRASTS,
     GAUSSIAN_LOGCOSH_MEAN,
     ConvergenceReport,
     IcaConfig,
@@ -22,7 +23,7 @@ from ebiunmix.fastica import (
 from ebiunmix.metrics import amari_index, match_components
 from ebiunmix.pca import fit_pca, whiten
 
-from oracles import canonical_unmixing, gauss_logcosh_mean, newton_schulz_polar
+from oracles import canonical_unmixing, fastica_reference, gauss_logcosh_mean, newton_schulz_polar
 
 KNOWN_MIXING = np.array([[1.0, 0.5], [0.3, 1.0]])
 # Four sources into four channels: the full-rank shape of ica_only mode.
@@ -315,6 +316,39 @@ class TestFitFastica:
     def test_numpy_numbers_accepted(self):
         config = IcaConfig(max_iterations=np.int64(50), tolerance=np.float32(1e-4), seed=np.int32(3))
         assert config.max_iterations == 50
+
+
+class TestMatchesAxis0Reference:
+    """fit_fastica's means via einsum and products with C-order operands give
+    the bits of numpy's axis-0 means and transposed views (fastica_reference),
+    over whole fits: a fit that runs long would carry any rounding drift."""
+
+    @staticmethod
+    def assert_bit_identical(white, config, dewhitening):
+        model = fit_fastica(white, config, dewhitening=dewhitening)
+        unmixing, mixing, deltas = fastica_reference(white, config, dewhitening)
+        assert np.array_equal(model.unmixing, unmixing)
+        assert np.array_equal(model.mixing_estimate, mixing)
+        assert model.convergence.per_iteration_deltas == deltas
+        return model
+
+    @pytest.mark.parametrize("contrast", CONTRASTS)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_converging_fits(self, k, contrast):
+        sources = uniform_sources(1000, seed=30 + k, k=k)
+        sources[:, 0] = np.random.default_rng(k).exponential(1.0, 1000) - 1.0  # skewed
+        white, _, dewhitening = whitened_mixture(sources, FULL_RANK_MIXING[:k, :k])
+        model = self.assert_bit_identical(white, IcaConfig(contrast=contrast, seed=k), dewhitening)
+        assert model.convergence.converged
+
+    @pytest.mark.parametrize("contrast", CONTRASTS)
+    def test_fit_stopped_by_max_iterations(self, contrast):
+        x = np.random.default_rng(9).standard_normal((1000, 4))  # runs to the cap in both contrasts
+        white, _, dewhitening = whiten(fit_pca(x), x, 4)
+        config = IcaConfig(contrast=contrast, seed=5)
+        model = self.assert_bit_identical(white, config, dewhitening)
+        assert model.convergence.iterations_used == config.max_iterations
+        assert not model.convergence.converged
 
 
 class TestSymmetricDecorrelate:

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ebiunmix
 from ebiunmix import fastica, linalg, pca
 from ebiunmix.errors import DimensionError, InvalidInputError, JacobiConvergenceError
-from ebiunmix.linalg import svd, sym_eigen
+from ebiunmix.linalg import sample_mean, svd, sym_eigen
 
 from oracles import charpoly_eigenvalues, det_cofactor, jacobi_numpy_rotations
 
@@ -63,6 +63,41 @@ class TestCheckNumber:
         with pytest.raises(InvalidInputError) as err:
             linalg.check_number(value, "x", integral, at_least=0, below=math.inf)
         assert str(err.value) == f"x must be {expected}, got {value!r}"
+
+
+class TestSampleMean:
+    """sample_mean gives the bits of x.mean(axis=0) in every layout: einsum's
+    sequential sum where the columns are the inner axis, mean itself at k = 1
+    and in F order, where mean sums pairwise."""
+
+    @given(
+        k=st.integers(1, 8),
+        n=st.integers(2, 20_000),
+        layout=st.sampled_from(["C", "rows", "F", "column-step", "reversed"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # n·k across einsum's 8192-element buffer, for the row-strided layout it buffers
+    @example(k=2, n=4096, layout="rows", seed=0)
+    @example(k=2, n=4097, layout="rows", seed=1)
+    @example(k=8, n=1025, layout="rows", seed=2)
+    @example(k=8, n=20_000, layout="C", seed=3)
+    @example(k=1, n=20_000, layout="C", seed=4)
+    @example(k=4, n=20_000, layout="F", seed=5)
+    def test_bit_equal_to_numpy_axis0_mean(self, k, n, layout, seed):
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], size=(3 * n, 2 * k))
+        base = signs * 10.0 ** rng.uniform(-5.0, 5.0, (3 * n, 2 * k))
+        x = {
+            "C": base[:n, :k].copy(),
+            "rows": base[::3, :k],
+            "F": np.asfortranarray(base[:n, :k]),
+            "column-step": base[:n, ::2],
+            "reversed": base[::-1][:n, :k],
+        }[layout]
+        assert x.shape == (n, k)
+        m = sample_mean(x)
+        assert np.array_equal(m, x.mean(axis=0))
+        assert not np.shares_memory(m, base)
 
 
 class TestSymEigen:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from ebiunmix.errors import DimensionError, InvalidInputError, UndefinedCorrelationError
 from ebiunmix.metrics import amari_index, match_components
 
-from oracles import amari_loops, match_components_loops
+from oracles import amari_loops, correlations_reference, match_components_loops
 
 
 def pair_correlation(x, y):
@@ -122,6 +122,21 @@ class TestMatchComponents:
         assert np.abs(np.subtract(report.correlations, correlations)).max() <= 1e-12
         assert np.abs(np.subtract(report.leakage, leakage)).max() <= 1e-12
         assert report.amari_index == pytest.approx(amari, abs=1e-12)
+
+    @given(
+        k_est=st.integers(1, 4),
+        k_true=st.integers(1, 4),
+        n=st.integers(2, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_correlations_bit_equal_to_axis0_mean_centring(self, k_est, k_true, n, seed):
+        # DC offsets far above the signal make the centring's rounding show
+        rng = np.random.default_rng(seed)
+        truth = rng.standard_normal((n, k_true)) + rng.uniform(-1e3, 1e3, k_true)
+        estimated = truth @ rng.standard_normal((k_true, k_est)) + rng.standard_normal((n, k_est))
+        report = match_components(estimated, truth)
+        expected = correlations_reference(estimated, truth)
+        assert report.correlations == tuple(float(expected[i, j]) for i, j in report.assignment)
 
 
 class TestAmariIndex:

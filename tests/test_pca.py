@@ -106,6 +106,14 @@ class TestFitPca:
         centered = project(model, data, len(means)) @ model.loadings.T
         assert np.abs(centered - (np.asarray(data) - means)).max() < 1e-12
 
+    @pytest.mark.parametrize("layout", ["C", "rows", "F"])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_means_bit_equal_to_axis0_mean(self, rng, p, layout):
+        # a frame of DC baselines and unit noise; rows: decimate's strided view
+        x = rng.standard_normal((10_000, p)) + 10.0 * np.arange(1, p + 1)
+        x = {"C": x[:1000], "rows": x[::10], "F": np.asfortranarray(x[:1000])}[layout]
+        assert np.array_equal(fit_pca(x).means, x.mean(axis=0))
+
     def test_frame_sized_input_scores_centered(self, rng):
         x = rng.standard_normal((10000, 4))
         model = fit_pca(x)
