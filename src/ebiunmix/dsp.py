@@ -7,9 +7,9 @@ be processed concurrently by the caller.
 Caller input is validated and copied once, when a SignalMatrix is built from
 it. A stage output is not checked again: framing and decimation return
 read-only views of their read-only input, and the filter a fresh array that
-is marked read-only. A hop that can overflow a finite input, the filter here
-and the first-sample subtraction of the pipeline, tests its output for
-non-finite entries once.
+is marked read-only. The filter alone tests its output for non-finite
+entries: it can overflow a finite input, and it carries through any inf or
+NaN of the pipeline's first-sample subtraction, which runs just before it.
 
 apply_filter evaluates the biquad block by block from zero state, not sample
 by sample; only the last two outputs of each block are carried into the
@@ -70,16 +70,13 @@ class SignalMatrix:
         object.__setattr__(self, "channel_labels", labels)
 
     @classmethod
-    def _derived(cls, samples: np.ndarray, sample_rate_hz: float, channel_labels: tuple,
-                 check_finite: bool = False) -> "SignalMatrix":
+    def _derived(cls, samples: np.ndarray, sample_rate_hz: float,
+                 channel_labels: tuple) -> "SignalMatrix":
         """A stage output derived from validated SignalMatrix values, taken as it is.
 
-        samples is marked read-only and nothing is copied. Nothing is checked
-        either, except that check_finite tests once for entries that a hop
-        overflowed to, with the constructor's message.
+        samples is marked read-only; nothing is copied or checked. Of the
+        stages, only apply_filter tests for entries that overflowed.
         """
-        if check_finite and not np.isfinite(samples).all():
-            raise InvalidInputError("samples contains non-finite entries")
         samples.flags.writeable = False
         signal = object.__new__(cls)
         object.__setattr__(signal, "samples", samples)
@@ -211,7 +208,9 @@ def apply_filter(signal: SignalMatrix, coeffs: BiquadCoefficients) -> SignalMatr
         )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
         y = _biquad_pass(signal.samples, coeffs)
-    return SignalMatrix._derived(y, signal.sample_rate_hz, signal.channel_labels, check_finite=True)
+    if not np.isfinite(y).all():  # with the constructor's message
+        raise InvalidInputError("samples contains non-finite entries")
+    return SignalMatrix._derived(y, signal.sample_rate_hz, signal.channel_labels)
 
 
 def _biquad_pass(x: np.ndarray, c: BiquadCoefficients) -> np.ndarray:

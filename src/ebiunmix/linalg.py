@@ -133,9 +133,10 @@ def sym_eigen(m) -> SymEigen:
     zeroes it: A <- J^T A J on columns and rows i, j, and V <- V J.
     Sweeps stop once every off-diagonal magnitude is at most
     JACOBI_OFF_DIAG_TOL times the Frobenius norm of the input, with a hard
-    cap of JACOBI_MAX_SWEEPS sweeps. The rotations run on lists of Python
-    floats, as p is at most a handful and numpy's per-call overhead would
-    cost more than the arithmetic.
+    cap of JACOBI_MAX_SWEEPS sweeps. Where the sum of squares overflows
+    (entries above ~1e154), the norm is max|m| * ||m / max|m|||_F. The
+    rotations run on lists of Python floats, as p is at most a handful and
+    numpy's per-call overhead would cost more than the arithmetic.
 
     Raises:
         InvalidInputError: non-square or asymmetric input.
@@ -150,7 +151,11 @@ def sym_eigen(m) -> SymEigen:
         raise InvalidInputError("matrix is not symmetric within tolerance")
 
     a = 0.5 * (a + a.T)
-    thresh = JACOBI_OFF_DIAG_TOL * float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):  # the squares overflow once entries pass ~1e154
+        norm = float(np.linalg.norm(a))
+        if norm == math.inf:  # scale is max|m| here
+            norm = scale * float(np.linalg.norm(a / scale))
+    thresh = JACOBI_OFF_DIAG_TOL * norm
     upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
     a = a.tolist()
     v = np.eye(p).tolist()

@@ -62,18 +62,24 @@ def _check_k(model: PcaModel, k: int, x: np.ndarray | None = None) -> None:
         raise DimensionError(f"data has {x.shape[1]} channels, model has {p}")
 
 
+def _check_sample_count(n: int, p: int, counted: str = "{} samples") -> None:
+    """fit_pca's rule, n >= max(p, 2); counted.format(n) opens the refusal."""
+    if n < max(p, 2):
+        need = f"the {p} channels" if p > 1 else "the 2 that PCA needs"
+        raise InsufficientDataError(f"{counted.format(n)}, fewer than {need}")
+
+
 def fit_pca(data) -> PcaModel:
     """Fit principal components from the sample covariance of `data`, a
     SignalMatrix or (n x p) array with n >= max(p, 2)."""
     x = _samples(data)
     n, p = x.shape
-    if n < max(p, 2):
-        raise InsufficientDataError(
-            f"need at least 2 samples and as many samples as channels, got {x.shape}"
-        )
-    means = sample_mean(x)
-    centered = x - means
-    eig = sym_eigen(centered.T @ centered / (n - 1))  # sym_eigen symmetrises
+    _check_sample_count(n, p)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails sym_eigen's check
+        means = sample_mean(x)
+        centered = x - means
+        cov = centered.T @ centered / (n - 1)
+    eig = sym_eigen(cov)  # sym_eigen symmetrises
 
     lam = eig.eigenvalues
     floor = -_EIGENVALUE_CLAMP * max(1.0, float(lam[0]))

@@ -8,7 +8,7 @@ as a step. When ground-truth sources are supplied they are framed and
 decimated identically and each frame's components are scored against them.
 
 A cutoff that the rate the filter runs at cannot realise, or a decimated frame
-shorter than the channel count, fails the whole run once, before framing.
+too short for PCA, fails the whole run once, before framing.
 
 A stage failure inside one frame (any of the package's ValueError or
 RuntimeError family) is recorded in the report (stage name plus message) and
@@ -44,11 +44,11 @@ from .dsp import (
     design_butterworth_lp2,
     frame_signal,
 )
-from .errors import CsvFormatError, DimensionError, InsufficientDataError, InvalidInputError
+from .errors import CsvFormatError, DimensionError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
 from .linalg import check_number
 from .metrics import match_components
-from .pca import explained_variance, fit_pca, project, whiten
+from .pca import _check_sample_count, explained_variance, fit_pca, project, whiten
 
 FILTER_POSITIONS = ("after_decimate", "before_decimate")
 MODES = ("pca_only", "ica_only", "pca_then_ica")
@@ -81,10 +81,17 @@ class PipelineConfig:
 
     def dimension(self, n_channels: int) -> int:
         """Components whitened and separated: n_channels in ica_only (full
-        rank), else retained_components, by default 2 (cardiac and respiratory)."""
+        rank), else retained_components, by default 2 (cardiac and respiratory).
+
+        Raises:
+            DimensionError: fewer channels than that (never in ica_only).
+        """
         if self.mode == "ica_only":
             return n_channels
-        return 2 if self.retained_components is None else self.retained_components
+        k = 2 if self.retained_components is None else self.retained_components
+        if k <= n_channels:
+            return k
+        raise DimensionError(f"input has {n_channels} channels, fewer than retained_components={k}")
 
 
 @dataclass
@@ -135,28 +142,21 @@ def run_pipeline(
     pca_then_ica; ica_only always whitens at full rank, and report.warnings
     says so when retained_components is set to another dimension.
 
-    Raises:
+    Raises (once, before any frame runs):
         DimensionError: the signal has fewer channels than
             config.dimension() keeps (never in ica_only), or truth has a
             different number of samples.
         FilterDesignError: the cutoff is not below the Nyquist frequency of
-            the rate the filter runs at; raised once, before framing.
-        InsufficientDataError: a decimated frame has fewer samples than the
-            signal has channels; raised once, before framing.
+            the rate the filter runs at.
+        InsufficientDataError: a decimated frame has fewer samples than
+            fit_pca needs, max(channels, 2).
         InvalidInputError: truth is sampled at a different rate than signal.
     """
-    k = config.dimension(signal.n_channels)
-    if signal.n_channels < k:
-        raise DimensionError(
-            f"input has {signal.n_channels} channels, fewer than retained_components={k}"
-        )
-    _lowpass(config, signal.sample_rate_hz)  # an unrealisable cutoff fails here, once
-    decimated_len = -(-config.frame_len // config.decimation_factor)
-    if decimated_len < signal.n_channels:  # fit_pca's rule, checked once rather than per frame
-        raise InsufficientDataError(
-            f"frame_len {config.frame_len} decimated by {config.decimation_factor} leaves "
-            f"{decimated_len} samples per frame, fewer than the {signal.n_channels} channels"
-        )
+    config.dimension(signal.n_channels)  # the frame stages' own checks, run once up front
+    _lowpass(config, signal.sample_rate_hz)
+    decimated = f"frame_len {config.frame_len} decimated by {config.decimation_factor} leaves"
+    _check_sample_count(-(-config.frame_len // config.decimation_factor), signal.n_channels,
+                        decimated + " {} samples per frame")
     t_start = time.perf_counter()
     report = RunReport(config=asdict(config), frames=[])
     if config.mode == "ica_only" and config.retained_components not in (None, signal.n_channels):
@@ -216,9 +216,6 @@ def process_frame(
     stage = "preprocess"
     try:
         processed = _preprocess(frame, config)
-        truth_processed = (
-            decimate(truth_frame, config.decimation_factor) if truth_frame is not None else None
-        )
 
         stage = "pca"
         model = fit_pca(processed)
@@ -226,13 +223,10 @@ def process_frame(
         # ica_only whitens at full rank, mirroring the "no PCA reduction" trial
         k = config.dimension(processed.n_channels)
         result.retained = k
-        result.explained_variance = explained_variance(model, k)  # rejects k > channels
+        result.explained_variance = explained_variance(model, k)
 
         if config.mode == "pca_only":
-            scores = project(model, processed, k)
-            out = SignalMatrix._derived(
-                scores, processed.sample_rate_hz, tuple(f"pc{i + 1}" for i in range(k))
-            )
+            samples, prefix = project(model, processed, k), "pc"
         else:
             stage = "whiten"
             white, _, dewhitening = whiten(model, processed, k)
@@ -244,20 +238,18 @@ def process_frame(
             result.A_est = ica.mixing_estimate.tolist()
             result.convergence = dict(vars(ica.convergence))
 
-            sources = separate(ica, white)
-            out = SignalMatrix._derived(
-                sources, processed.sample_rate_hz, tuple(f"ic{i + 1}" for i in range(k))
-            )
+            samples, prefix = separate(ica, white), "ic"
+        labels = tuple(f"{prefix}{i + 1}" for i in range(k))
+        out = SignalMatrix._derived(samples, processed.sample_rate_hz, labels)
 
-        if truth_processed is not None:
+        if truth_frame is not None:
             stage = "match"
-            result.matching = dict(vars(match_components(out.samples, truth_processed.samples)))
+            truth = decimate(truth_frame, config.decimation_factor)
+            result.matching = dict(vars(match_components(out.samples, truth.samples)))
     except (ValueError, RuntimeError) as exc:  # the package's error family
         result.stage = stage
         result.error = f"{type(exc).__name__}: {exc}"
-        result.seconds = time.perf_counter() - t0
-        return None, result
-
+        out = None
     result.seconds = time.perf_counter() - t0
     return out, result
 
@@ -280,9 +272,9 @@ def _preprocess(frame: SignalMatrix, config: PipelineConfig) -> SignalMatrix:
 
 def _from_first_sample(frame: SignalMatrix) -> SignalMatrix:
     """Each channel minus its first sample: the zero-state filter starts at rest."""
-    with np.errstate(over="ignore"):  # an overflow fails _derived's test
+    with np.errstate(over="ignore"):  # the filter that follows fails an overflow
         samples = frame.samples - frame.samples[0]
-    return SignalMatrix._derived(samples, frame.sample_rate_hz, frame.channel_labels, check_finite=True)
+    return SignalMatrix._derived(samples, frame.sample_rate_hz, frame.channel_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,14 @@ class TestSymEigen:
         assert np.linalg.norm(vecs.T @ vecs - np.eye(p)) <= 1e-13
         assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(p)] > 0)
 
+    @pytest.mark.parametrize("gain", [1e150, 1e155, -1e155, 1e300, 1e-155])
+    def test_matches_eigvalsh_where_the_norm_overflows(self, gain):
+        # from ~1e154 up, the squares in ||m||_F overflow; the stopping threshold must not
+        m = np.array([[2.0, 1.0], [1.0, 2.0]]) * gain
+        eig = sym_eigen(m)
+        expected = np.linalg.eigvalsh(m)[::-1]
+        assert np.abs(eig.eigenvalues - expected).max() <= 1e-13 * abs(3.0 * gain)
+
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_sweep_cap_reported(self, monkeypatch, cap):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)

@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ebiunmix import fastica, pipeline
@@ -145,6 +145,20 @@ class TestRunPipeline:
         assert components[0] is None
         assert report.frames[0].stage == "preprocess"
         assert report.frames[0].error == "InvalidInputError: samples contains non-finite entries"
+        assert report.frames[1].ok and components[1] is not None
+
+    def test_covariance_overflow_fails_its_frame_alone_without_a_warning(self):
+        mixture, _ = default_scenario(n=20000, seed=1)
+        samples = mixture.samples.copy()
+        samples[:10000] *= 1e160  # frame 0 only: finite through the filter, not its covariance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            components, report = run_pipeline(
+                SignalMatrix(samples, mixture.sample_rate_hz), PipelineConfig()
+            )
+        assert components[0] is None
+        assert report.frames[0].stage == "pca"
+        assert report.frames[0].error == "InvalidInputError: m contains non-finite entries"
         assert report.frames[1].ok and components[1] is not None
 
     @pytest.mark.parametrize("mode", pipeline.MODES)
@@ -290,17 +304,21 @@ class TestRunPipeline:
     @pytest.mark.parametrize("channels", range(1, 6))
     @pytest.mark.parametrize("retained", [None, 1, 2, 3, 4, 5])
     def test_up_front_checks_agree_with_frame_stages(self, mode, channels, retained):
-        # run_pipeline refuses up front exactly the configs whose every frame fails at pca
-        samples = np.random.default_rng(channels).standard_normal((2000, channels))
-        signal = SignalMatrix(samples, 1000.0)
-        config = PipelineConfig(frame_len=1000, retained_components=retained, mode=mode)
-        results = [process_frame(f, config, i)[1] for i, f in enumerate(frame_signal(signal, 1000))]
-        try:
-            run_pipeline(signal, config)
-            refused = False
-        except DimensionError:
-            refused = True
-        assert {r.stage == "pca" for r in results} == {refused}
+        # run_pipeline refuses up front exactly the configs whose every frame fails at
+        # pca, at decimated frame lengths 1, 2, channels - 1, channels and 100
+        for decimated_len in sorted({1, 2, channels - 1, channels, 100} - {0}):
+            frame_len = 10 * decimated_len  # decimated by the default 10
+            samples = np.random.default_rng(channels).standard_normal((2 * frame_len, channels))
+            signal = SignalMatrix(samples, 1000.0)
+            config = PipelineConfig(frame_len=frame_len, retained_components=retained, mode=mode)
+            frames = frame_signal(signal, frame_len)
+            results = [process_frame(f, config, i)[1] for i, f in enumerate(frames)]
+            try:
+                run_pipeline(signal, config)
+                refused = False
+            except (DimensionError, InsufficientDataError):
+                refused = True
+            assert {r.stage == "pca" for r in results} == {refused}, decimated_len
 
     def test_short_signal_warns_and_produces_nothing(self):
         sig = SignalMatrix(np.zeros((10, 4)), 1000.0)
@@ -396,7 +414,10 @@ class TestMetamorphic:
     Tolerance 1e-9 absolute throughout. Offsets of up to 1e4 round each
     sample by up to eps * 1e4, about 2e-12, and the channel order changes
     the order of the Jacobi rotations; the largest deviation seen was 6e-12
-    (seeds 0-5, both filter positions).
+    (seeds 0-5, both filter positions). Overall gains of either sign from
+    1e-100 to 1e100 moved the components by at most 6.2e-14 (seeds 0-3,
+    both positions), 1e80 included: there the squares of the covariance's
+    entries overflow, which sym_eigen's stopping threshold must survive.
     """
 
     @settings(max_examples=10)
@@ -425,9 +446,10 @@ class TestMetamorphic:
     @given(
         seed=st.integers(0, 3),
         position=st.sampled_from(("after_decimate", "before_decimate")),
-        exponent=st.floats(-3.0, 3.0),
+        exponent=st.floats(-3.0, 3.0) | st.floats(-100.0, 100.0),
         sign=st.sampled_from((-1.0, 1.0)),
     )
+    @example(seed=0, position="after_decimate", exponent=80.0, sign=1.0)
     def test_invariant_to_overall_gain(self, seed, position, exponent, sign):
         x = _mixture(seed)
         scaled = _components(x * (sign * 10.0**exponent), position)
