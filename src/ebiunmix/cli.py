@@ -175,12 +175,11 @@ def _cmd_run(args) -> int:
     signal = read_csv(args.input)
     truth = read_csv(args.truth) if args.truth else None
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.input).stem
-
     components, report = run_pipeline(signal, config, truth)
 
+    out_dir = Path(args.out_dir)  # made only once the run was not refused up front
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = Path(args.input).stem
     for idx, comp in enumerate(components):
         if comp is None:
             continue

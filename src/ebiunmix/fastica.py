@@ -34,6 +34,12 @@ that mean itself, which sums pairwise there. x @ W^T takes W^T as a C-order
 copy, which BLAS multiplies faster than the transposed view, with equal
 bits for n >= 2; separate keeps the view, since a single-row x is
 multiplied in another order with the copy.
+
+The k-sized work runs on Python floats with numpy's bits (the linalg module
+docstring has the rule): the whiteness deviation, each step's delta
+max|1 - |<w+, w>||, whose k-term dot products go through linalg.short_sum
+(numpy's pairwise sum from 8 terms on), and the canonical order, skew test
+and sign flips, taken from the k moments of the unpermuted components.
 """
 
 import math
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidInputError, NonWhiteInputError
-from .linalg import check_matrix, check_number, sample_mean, sym_eigen
+from .linalg import check_matrix, check_number, sample_mean, short_sum, sym_eigen
 
 # E[log cosh X] for X ~ N(0, 1); the test suite re-derives this by quadrature.
 GAUSSIAN_LOGCOSH_MEAN = 0.3745672074914380
@@ -175,11 +181,11 @@ def _polar_svd(w: np.ndarray) -> np.ndarray | None:
 
 
 def _check_white(x: np.ndarray) -> None:
-    n, k = x.shape
+    n = x.shape[0]
     if n < 2:
         raise NonWhiteInputError("need at least 2 samples to verify whiteness")
-    cov = x.T @ x / (n - 1)
-    dev = float(np.abs(cov - np.eye(k)).max())
+    cov = (x.T @ x / (n - 1)).tolist()
+    dev = max(abs(c - 1.0 if i == j else c) for i, row in enumerate(cov) for j, c in enumerate(row))
     if dev > _WHITENESS_TOL:
         raise NonWhiteInputError(
             f"input covariance deviates from identity by {dev:.3e} "
@@ -214,7 +220,8 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
         w_new = _symmetric_decorrelate((g.T @ x) / n - sample_mean(g_prime)[:, None] * w)
         if w_new is None:
             break  # keep the last orthonormal w; the report says not converged
-        deltas.append(float(np.abs(1.0 - np.abs(np.sum(w_new * w, axis=1))).max()))
+        deltas.append(max(abs(1.0 - abs(short_sum([a * b for a, b in zip(r_new, r)])))
+                          for r_new, r in zip(w_new.tolist(), w.tolist())))
         w = w_new
         if deltas[-1] < config.tolerance:
             break
@@ -240,14 +247,18 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
 def _canonicalize(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Fix component order and signs (see module docstring)."""
     s = x @ w.T.copy()
-    score = sample_mean(_logcosh(s)) - GAUSSIAN_LOGCOSH_MEAN
-    order = np.argsort(-score, kind="stable")
-    s = s[:, order]
     s2 = s * s
-    skew = sample_mean(s2 * s) / sample_mean(s2) ** 1.5
-    peak = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
-    flip = np.where(np.abs(skew) >= _SKEWNESS_TOL, skew < 0, peak < 0)
-    return np.where(flip[:, None], -w[order], w[order])
+    score = (sample_mean(_logcosh(s)) - GAUSSIAN_LOGCOSH_MEAN).tolist()
+    skew = (sample_mean(s2 * s) / sample_mean(s2) ** 1.5).tolist()
+    rows = w.tolist()
+    out = []
+    for i in sorted(range(len(rows)), key=lambda i: -score[i]):  # as a stable argsort
+        if abs(skew[i]) >= _SKEWNESS_TOL:
+            flip = skew[i] < 0
+        else:  # the first largest-magnitude sample decides
+            flip = s[np.argmax(np.abs(s[:, i])), i] < 0
+        out.append([-v for v in rows[i]] if flip else rows[i])
+    return np.array(out)
 
 
 def separate(model: IcaModel, white) -> np.ndarray:

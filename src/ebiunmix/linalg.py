@@ -7,9 +7,19 @@ Matrices are plain 2-D float ndarrays, validated at operation boundaries
 (real, finite entries, at least one row and column). The channel count p
 is tiny (4 in the target application, never more than a handful), so the
 eigensolver is a cyclic Jacobi iteration: provably convergent, simple, and
-exact enough that every downstream tolerance is met with a wide margin. Its
-rotations run on Python floats, because at this size numpy's per-call
-overhead costs more than the arithmetic.
+exact enough that every downstream tolerance is met with a wide margin.
+
+Work on values of this size runs on Python floats, because numpy's ~1-2 us
+per call costs more than the arithmetic: Jacobi's symmetry test, rotations,
+order and signs here, and the k-sized steps of PCA, FastICA and the
+matching. It keeps numpy's bits. On finite values, elementwise arithmetic,
+sqrt, abs, max and a stable sort round or choose alike; a sum is the one
+place the two differ. numpy's sum along a contiguous axis adds up to 7 terms
+in order, which Python's sum repeats, and from 8 terms on sums pairwise
+with 8 accumulators, so short_sum hands 8 or more terms to np.sum. The
+Frobenius norm stays with numpy, as its BLAS dot product sets the summation
+order.
+
 The SVD is computed through the p x p Gram matrix rather than
 bidiagonalization, which is both simpler and faster when n >> p; it needs
 full column rank.
@@ -97,10 +107,11 @@ def sample_mean(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij->j", x) / x.shape[0]
 
 
-def _sign_normalize_columns(v: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry of each column is positive."""
-    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return v * np.where(peak < 0, -1.0, 1.0)
+def short_sum(xs: list) -> float:
+    """Sum of a list of floats with the bits of numpy's sum along a contiguous
+    axis: term after term below 8 terms; from 8 on numpy sums pairwise, with
+    8 accumulators, so np.sum itself adds them."""
+    return sum(xs) if len(xs) < 8 else float(np.sum(xs))
 
 
 @dataclass(frozen=True)
@@ -134,9 +145,8 @@ def sym_eigen(m) -> SymEigen:
     Sweeps stop once every off-diagonal magnitude is at most
     JACOBI_OFF_DIAG_TOL times the Frobenius norm of the input, with a hard
     cap of JACOBI_MAX_SWEEPS sweeps. Where the sum of squares overflows
-    (entries above ~1e154), the norm is max|m| * ||m / max|m|||_F. The
-    rotations run on lists of Python floats, as p is at most a handful and
-    numpy's per-call overhead would cost more than the arithmetic.
+    (entries above ~1e154), the norm is max|m| * ||m / max|m|||_F. All but
+    that norm runs on lists of Python floats (see the module docstring).
 
     Raises:
         InvalidInputError: non-square or asymmetric input.
@@ -146,18 +156,19 @@ def sym_eigen(m) -> SymEigen:
     p = a.shape[0]
     if a.shape[1] != p:
         raise InvalidInputError(f"matrix must be square, got {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
+    rows = a.tolist()
+    upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    scale = max(1.0, max(abs(x) for row in rows for x in row))
+    if any(abs(rows[i][j] - rows[j][i]) > _SYMMETRY_TOL * scale for i, j in upper):
         raise InvalidInputError("matrix is not symmetric within tolerance")
 
-    a = 0.5 * (a + a.T)
+    a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
     with np.errstate(over="ignore"):  # the squares overflow once entries pass ~1e154
-        norm = float(np.linalg.norm(a))
+        sym = np.array(a)
+        norm = float(np.linalg.norm(sym))
         if norm == math.inf:  # scale is max|m| here
-            norm = scale * float(np.linalg.norm(a / scale))
+            norm = scale * float(np.linalg.norm(sym / scale))
     thresh = JACOBI_OFF_DIAG_TOL * norm
-    upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
-    a = a.tolist()
     v = np.eye(p).tolist()
     for sweeps in range(JACOBI_MAX_SWEEPS + 1):
         off = max((abs(a[i][j]) for i, j in upper), default=0.0)
@@ -177,17 +188,27 @@ def sym_eigen(m) -> SymEigen:
             t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
             c = 1.0 / math.hypot(t, 1.0)
             s = t * c
-            for row in a + v:  # columns i, j: A <- A J, V <- V J
+            for row in a:  # columns i, j: A <- A J
                 x, y = row[i], row[j]
                 row[i] = x * c - y * s
                 row[j] = x * s + y * c
-            rows = tuple(zip(a[i], a[j]))  # rows i, j: A <- J^T A
-            a[i] = [c * x - s * y for x, y in rows]
-            a[j] = [s * x + c * y for x, y in rows]
+            for row in v:  # V <- V J
+                x, y = row[i], row[j]
+                row[i] = x * c - y * s
+                row[j] = x * s + y * c
+            ai, aj = a[i], a[j]  # rows i, j: A <- J^T A
+            a[i] = [c * x - s * y for x, y in zip(ai, aj)]
+            a[j] = [s * x + c * y for x, y in zip(ai, aj)]
 
-    vals = np.diag(np.array(a))
-    order = np.argsort(-vals, kind="stable")
-    return SymEigen(vals[order], _sign_normalize_columns(np.array(v)[:, order]))
+    # descending and stable, as argsort(-eigenvalues, kind="stable"); each
+    # column times -1.0 where its first largest-magnitude entry is negative
+    order = sorted(range(p), key=lambda i: -a[i][i])
+    columns = []
+    for i in order:
+        col = [row[i] for row in v]
+        sign = -1.0 if max(col, key=abs) < 0 else 1.0
+        columns.append([x * sign for x in col])
+    return SymEigen(np.array([a[i][i] for i in order]), np.array(columns).T)
 
 
 def svd(data) -> SvdResult:

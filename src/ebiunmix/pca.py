@@ -8,7 +8,9 @@ this one in the test suite.
 The means are linalg.sample_mean's: each column summed sequentially in
 sample order, the bits of numpy's x.mean(axis=0) on C-ordered input (and
 on the strided rows decimate returns); a single channel or F-ordered input
-goes to x.mean(axis=0) itself, whose sum is pairwise there.
+goes to x.mean(axis=0) itself, whose sum is pairwise there. The
+eigenvalue clamp, whiten's near-zero test and explained_variance's sums run
+on Python floats with numpy's bits (see the linalg module docstring).
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .linalg import check_matrix, sample_mean, sym_eigen
+from .linalg import check_matrix, sample_mean, short_sum, sym_eigen
 
 # Eigenvalues this far below zero (relative to the largest) are floating-point
 # noise and are clamped to 0; anything more negative indicates a broken input.
@@ -69,6 +71,15 @@ def _check_sample_count(n: int, p: int, counted: str = "{} samples") -> None:
         raise InsufficientDataError(f"{counted.format(n)}, fewer than {need}")
 
 
+def _check_whiten_count(n: int, k: int, counted: str = "{} samples") -> None:
+    """whiten's rule, n >= k + 1: centred, n samples span at most n - 1
+    directions; counted.format(n) opens the refusal."""
+    if n <= k:
+        raise InsufficientDataError(
+            f"{counted.format(n)}, fewer than the {k + 1} that whitening {k} components needs"
+        )
+
+
 def fit_pca(data) -> PcaModel:
     """Fit principal components from the sample covariance of `data`, a
     SignalMatrix or (n x p) array with n >= max(p, 2)."""
@@ -81,11 +92,12 @@ def fit_pca(data) -> PcaModel:
         cov = centered.T @ centered / (n - 1)
     eig = sym_eigen(cov)  # sym_eigen symmetrises
 
-    lam = eig.eigenvalues
-    floor = -_EIGENVALUE_CLAMP * max(1.0, float(lam[0]))
-    if np.any(lam < floor):
-        raise InvalidInputError(f"covariance produced eigenvalue {lam.min():.3e} below clamp range")
-    return PcaModel(means=means, loadings=eig.eigenvectors, eigenvalues=np.clip(lam, 0.0, None))
+    lam = eig.eigenvalues.tolist()  # descending: the last is the least
+    floor = -_EIGENVALUE_CLAMP * max(1.0, lam[0])
+    if lam[-1] < floor:
+        raise InvalidInputError(f"covariance produced eigenvalue {lam[-1]:.3e} below clamp range")
+    clamped = np.array([0.0 if x <= 0.0 else x for x in lam])  # as np.clip: -0.0 becomes 0.0
+    return PcaModel(means=means, loadings=eig.eigenvectors, eigenvalues=clamped)
 
 
 def project(model: PcaModel, data, k: int) -> np.ndarray:
@@ -104,20 +116,23 @@ def whiten(model: PcaModel, data, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
         rank-k approximation of the data.
 
     Raises:
+        InsufficientDataError: data has k or fewer samples, too few for an
+            identity covariance in k dimensions.
         DegenerateComponentError: a retained eigenvalue is numerically zero.
     """
     x = _samples(data)
     _check_k(model, k, x)
-    lam = model.eigenvalues[:k]
-    cutoff = _EIGENVALUE_CLAMP * max(float(model.eigenvalues[0]), 0.0)
-    bad = np.flatnonzero(lam <= cutoff)
-    if bad.size:
+    _check_whiten_count(x.shape[0], k)
+    lam = model.eigenvalues.tolist()
+    cutoff = _EIGENVALUE_CLAMP * max(lam[0], 0.0)
+    bad = next((i for i in range(k) if lam[i] <= cutoff), None)
+    if bad is not None:
         raise DegenerateComponentError(
-            f"component {bad[0]} has near-zero variance ({lam[bad[0]]:.3e}); "
+            f"component {bad} has near-zero variance ({lam[bad]:.3e}); "
             f"reduce k or drop the degenerate channel",
-            component=int(bad[0]),
+            component=bad,
         )
-    scale = np.sqrt(lam)
+    scale = np.sqrt(model.eigenvalues[:k])
     whitening = model.loadings[:, :k] / scale
     dewhitening = scale[:, None] * model.loadings[:, :k].T
     white = (x - model.means) @ whitening
@@ -127,7 +142,8 @@ def whiten(model: PcaModel, data, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
 def explained_variance(model: PcaModel, k: int) -> float:
     """Fraction of total variance carried by the first k components."""
     _check_k(model, k)
-    total = float(model.eigenvalues.sum())
+    lam = model.eigenvalues.tolist()
+    total = short_sum(lam)
     if total <= 0.0:
         return 1.0
-    return float(model.eigenvalues[:k].sum()) / total
+    return short_sum(lam[:k]) / total

@@ -8,7 +8,7 @@ as a step. When ground-truth sources are supplied they are framed and
 decimated identically and each frame's components are scored against them.
 
 A cutoff that the rate the filter runs at cannot realise, or a decimated frame
-too short for PCA, fails the whole run once, before framing.
+too short for PCA or for whitening, fails the whole run once, before framing.
 
 A stage failure inside one frame (any of the package's ValueError or
 RuntimeError family) is recorded in the report (stage name plus message) and
@@ -48,7 +48,14 @@ from .errors import CsvFormatError, DimensionError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
 from .linalg import check_number
 from .metrics import match_components
-from .pca import _check_sample_count, explained_variance, fit_pca, project, whiten
+from .pca import (
+    _check_sample_count,
+    _check_whiten_count,
+    explained_variance,
+    fit_pca,
+    project,
+    whiten,
+)
 
 FILTER_POSITIONS = ("after_decimate", "before_decimate")
 MODES = ("pca_only", "ica_only", "pca_then_ica")
@@ -149,14 +156,18 @@ def run_pipeline(
         FilterDesignError: the cutoff is not below the Nyquist frequency of
             the rate the filter runs at.
         InsufficientDataError: a decimated frame has fewer samples than
-            fit_pca needs, max(channels, 2).
+            fit_pca needs, max(channels, 2), or, where the mode whitens k
+            components, than whiten needs, k + 1.
         InvalidInputError: truth is sampled at a different rate than signal.
     """
-    config.dimension(signal.n_channels)  # the frame stages' own checks, run once up front
+    k = config.dimension(signal.n_channels)  # the frame stages' own checks, run once up front
     _lowpass(config, signal.sample_rate_hz)
-    decimated = f"frame_len {config.frame_len} decimated by {config.decimation_factor} leaves"
-    _check_sample_count(-(-config.frame_len // config.decimation_factor), signal.n_channels,
-                        decimated + " {} samples per frame")
+    n = -(-config.frame_len // config.decimation_factor)
+    counted = (f"frame_len {config.frame_len} decimated by {config.decimation_factor} leaves"
+               " {} samples per frame")
+    _check_sample_count(n, signal.n_channels, counted)
+    if config.mode != "pca_only":
+        _check_whiten_count(n, k, counted)
     t_start = time.perf_counter()
     report = RunReport(config=asdict(config), frames=[])
     if config.mode == "ica_only" and config.retained_components not in (None, signal.n_channels):

@@ -10,12 +10,17 @@ spectra straight from the FFT, CSV text one formatted row at a time, ICA
 component signs one column at a time, component matching one correlation
 pair at a time, polar factors by plain Newton-Schulz iteration.
 
-fastica_reference and correlations_reference are of another kind: each keeps
-an earlier form of package code, numpy's own axis-0 means and products with
-transposed views, which the package's current form must match bit for bit.
+fastica_reference, canonicalize_reference, correlations_reference,
+match_components_reference, amari_reference, sym_eigen_reference and
+pca_reference are of
+another kind: each keeps an earlier form of package code, in numpy's own
+axis-0 means, products with transposed views, reductions, sorts and clips,
+which the package's current form, partly on Python floats, must match bit
+for bit.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -176,9 +181,7 @@ def fastica_reference(x, config, dewhitening=None):
     """fit_fastica's loop and canonical order with x.mean(axis=0) and x @ w.T
     throughout, reusing the package's random start, contrast and polar factor.
     Returns (unmixing, mixing_estimate, per_iteration_deltas)."""
-    from ebiunmix.fastica import (
-        GAUSSIAN_LOGCOSH_MEAN, _logcosh, _symmetric_decorrelate, contrast_eval,
-    )
+    from ebiunmix.fastica import _symmetric_decorrelate, contrast_eval
     from ebiunmix.linalg import sym_eigen
 
     n, k = x.shape
@@ -194,6 +197,16 @@ def fastica_reference(x, config, dewhitening=None):
         w = w_new
         if deltas[-1] < config.tolerance:
             break
+    w = canonicalize_reference(x, w)
+    mixing = w.T if dewhitening is None else dewhitening.T @ w.T
+    return w, mixing, tuple(deltas)
+
+
+def canonicalize_reference(x, w):
+    """_canonicalize with numpy's axis-0 means, stable argsort, permuted copy
+    of the components and vectorised sign choice."""
+    from ebiunmix.fastica import GAUSSIAN_LOGCOSH_MEAN, _logcosh
+
     s = x @ w.T
     score = _logcosh(s).mean(axis=0) - GAUSSIAN_LOGCOSH_MEAN
     order = np.argsort(-score, kind="stable")
@@ -202,9 +215,7 @@ def fastica_reference(x, config, dewhitening=None):
     skew = np.mean(s2 * s, axis=0) / np.mean(s2, axis=0) ** 1.5
     peak = s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])]
     flip = np.where(np.abs(skew) >= 1e-3, skew < 0, peak < 0)
-    w = np.where(flip[:, None], -w[order], w[order])
-    mixing = w.T if dewhitening is None else dewhitening.T @ w.T
-    return w, mixing, tuple(deltas)
+    return np.where(flip[:, None], -w[order], w[order])
 
 
 def correlations_reference(x, y):
@@ -216,6 +227,97 @@ def correlations_reference(x, y):
     ss = gram.diagonal()
     k = x.shape[1]
     return np.clip(gram[:k, k:] / np.sqrt(np.outer(ss[:k], ss[k:])), -1.0, 1.0)
+
+
+def amari_reference(p):
+    """The Amari index of a square performance matrix by numpy row and column
+    maxima and sums."""
+    p = np.abs(p)
+    k = p.shape[0]
+    row_max = p.max(axis=1)
+    col_max = p.max(axis=0)
+    if np.any(row_max == 0.0) or np.any(col_max == 0.0):
+        raise ValueError("performance matrix has an all-zero row or column")
+    rows = (p.sum(axis=1) / row_max - 1.0).sum()
+    cols = (p.sum(axis=0) / col_max - 1.0).sum()
+    return float((rows + cols) / (2.0 * k))
+
+
+def match_components_reference(estimated, truth):
+    """match_components on numpy arrays: correlations_reference, then the
+    assignment search, leakage and amari_reference on numpy scalars.
+
+    Returns (assignment, correlations, leakage, amari_index) in the layout of
+    SeparationReport.
+    """
+    corr = correlations_reference(estimated, truth)
+    k_est, k_true = corr.shape
+    flip = k_est > k_true
+    a = np.abs(corr.T if flip else corr)
+    perm = max(
+        itertools.permutations(range(a.shape[1]), a.shape[0]),
+        key=lambda p: sum(a[r, p[r]] for r in range(len(p))),
+    )
+    pairs = tuple(sorted((c, r) if flip else (r, c) for r, c in enumerate(perm)))
+    correlations = tuple(float(corr[i, j]) for i, j in pairs)
+    leakage = tuple(
+        max((abs(float(corr[i, jj])) for jj in range(k_true) if jj != j), default=0.0)
+        for i, j in pairs
+    )
+    return pairs, correlations, leakage, amari_reference(corr[np.ix_(*zip(*pairs))])
+
+
+def sym_eigen_reference(m, tol=1e-12):
+    """sym_eigen with its set-up and order in numpy: symmetrised as
+    0.5 (m + m^T), columns picked by a stable argsort of the negated diagonal
+    and signed by a vectorised argmax, the rotations on Python floats as in
+    sym_eigen. Returns (eigenvalues, eigenvectors)."""
+    a = np.asarray(m, dtype=float)
+    p = a.shape[0]
+    scale = max(1.0, float(np.abs(a).max()))
+    a = 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if norm == math.inf:
+            norm = scale * float(np.linalg.norm(a / scale))
+    thresh = tol * norm
+    upper = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    a = a.tolist()
+    v = np.eye(p).tolist()
+    while max((abs(a[i][j]) for i, j in upper), default=0.0) > thresh:
+        for i, j in upper:
+            aij = a[i][j]
+            if abs(aij) <= thresh:
+                continue
+            theta = (a[j][j] - a[i][i]) / (2.0 * aij)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            for row in a + v:
+                x, y = row[i], row[j]
+                row[i] = x * c - y * s
+                row[j] = x * s + y * c
+            rows = tuple(zip(a[i], a[j]))
+            a[i] = [c * x - s * y for x, y in rows]
+            a[j] = [s * x + c * y for x, y in rows]
+    vals = np.diag(np.array(a))
+    order = np.argsort(-vals, kind="stable")
+    v = np.array(v)[:, order]
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(p)]
+    return vals[order], v * np.where(peak < 0, -1.0, 1.0)
+
+
+def pca_reference(x):
+    """fit_pca's eigenvalues, clamped by np.clip, and explained_variance at
+    every k from numpy sums, after centring by x.mean(axis=0).
+
+    Returns (eigenvalues, [explained variance at k = 1 .. p])."""
+    from ebiunmix.linalg import sym_eigen
+
+    centered = x - x.mean(axis=0)
+    lam = np.clip(sym_eigen(centered.T @ centered / (len(x) - 1)).eigenvalues, 0.0, None)
+    total = float(lam.sum())
+    return lam, [1.0 if total <= 0.0 else float(lam[:k].sum()) / total for k in range(1, len(lam) + 1)]
 
 
 def newton_schulz_polar(w, tol=1e-14, max_steps=50):

@@ -274,14 +274,17 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert "error: cutoff 60.0 Hz" in captured.err and "Nyquist (50.0 Hz)" in captured.err
         assert "FAILED" not in captured.out
-        assert not (tmp_path / "bad" / "demo_mixture_report.json").exists()
+        assert not (tmp_path / "bad").exists()  # the output directory is not made
 
     @pytest.mark.parametrize("flags,message", [
         (("--tol", "1.5"), "tolerance must be in (0, 1), got 1.5"),
         (("--frame-len", "30"),
          "frame_len 30 decimated by 10 leaves 3 samples per frame, fewer than the 4 channels"),
         (("--seed", "-1"), "seed must be >= 0, got -1"),
-    ], ids=["tol", "frame-len", "seed"])
+        (("--frame-len", "40", "--mode", "ica_only"),
+         "frame_len 40 decimated by 10 leaves 4 samples per frame, "
+         "fewer than the 5 that whitening 4 components needs"),
+    ], ids=["tol", "frame-len", "seed", "frame-len-ica-only"])
     def test_unworkable_config_exits_1(self, tmp_path, capsys, flags, message):
         mixture_path, _ = synth_files(tmp_path)
         capsys.readouterr()
@@ -292,7 +295,7 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert "FAILED" not in captured.out
-        assert not (tmp_path / "bad" / "demo_mixture_report.json").exists()
+        assert not (tmp_path / "bad").exists()  # the output directory is not made
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         mixture_path, _ = synth_files(tmp_path)

@@ -23,7 +23,13 @@ from ebiunmix.fastica import (
 from ebiunmix.metrics import amari_index, match_components
 from ebiunmix.pca import fit_pca, whiten
 
-from oracles import canonical_unmixing, fastica_reference, gauss_logcosh_mean, newton_schulz_polar
+from oracles import (
+    canonical_unmixing,
+    canonicalize_reference,
+    fastica_reference,
+    gauss_logcosh_mean,
+    newton_schulz_polar,
+)
 
 KNOWN_MIXING = np.array([[1.0, 0.5], [0.3, 1.0]])
 # Four sources into four channels: the full-rank shape of ica_only mode.
@@ -349,6 +355,41 @@ class TestMatchesAxis0Reference:
         model = self.assert_bit_identical(white, config, dewhitening)
         assert model.convergence.iterations_used == config.max_iterations
         assert not model.convergence.converged
+
+
+    @given(
+        k=st.integers(1, 8),
+        contrast=st.sampled_from(CONTRASTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_k_to_8(self, k, contrast, seed):
+        # from k = 8 on numpy's row sums in the step's delta are pairwise
+        x = np.random.default_rng(seed).standard_normal((300, k))
+        x[:, 0] = np.random.default_rng(seed + 1).exponential(1.0, 300)  # one skewed source
+        white, _, dewhitening = whiten(fit_pca(x), x, k)
+        self.assert_bit_identical(white, IcaConfig(contrast=contrast, seed=k, max_iterations=30),
+                                  dewhitening)
+
+    @given(
+        k=st.integers(1, 8),
+        n=st.integers(2, 200),
+        tied_pair=st.booleans(),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_canonical_order(self, k, n, tied_pair, symmetric, seed):
+        # two unit rows on two equal channels tie in score; symmetric samples
+        # have |skew| < 1e-3, where the first largest-magnitude sample sets the sign
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.standard_normal((n, k)) * rng.exponential(1.0, (n, k)), 2)
+        if symmetric:
+            x = np.vstack([x, -x])
+        w = np.round(rng.standard_normal((k, k)), 1)
+        if tied_pair and k >= 2:
+            x[:, 1] = x[:, 0]
+            w[:2] = np.eye(2, k)
+        with np.errstate(invalid="ignore"):  # an all-zero component has a NaN skew in both
+            assert fastica._canonicalize(x, w).tobytes() == canonicalize_reference(x, w).tobytes()
 
 
 class TestSymmetricDecorrelate:

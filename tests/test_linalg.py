@@ -12,7 +12,12 @@ from ebiunmix import fastica, linalg, pca
 from ebiunmix.errors import DimensionError, InvalidInputError, JacobiConvergenceError
 from ebiunmix.linalg import sample_mean, svd, sym_eigen
 
-from oracles import charpoly_eigenvalues, det_cofactor, jacobi_numpy_rotations
+from oracles import (
+    charpoly_eigenvalues,
+    det_cofactor,
+    jacobi_numpy_rotations,
+    sym_eigen_reference,
+)
 
 # raw_rate_dc-style per-channel baselines, large against the unit-variance signal
 DC_BASELINE = 10.0 * np.array([1.0, 2.0, 3.0, 4.0])
@@ -280,6 +285,48 @@ class TestSymEigenMatchesNumpyRotations:
     def test_random_symmetric(self, p, exponent, seed):
         m = np.random.default_rng(seed).standard_normal((p, p))
         self.check(0.5 * (m + m.T) * 10.0**exponent)
+
+
+# small integers make ties: repeated eigenvalues, eigenvector entries of equal
+# magnitude, zeros of both signs
+_ENTRIES = (st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]), min_size=64, max_size=64)
+            | st.lists(st.floats(-10.0, 10.0), min_size=64, max_size=64))
+
+
+class TestSymEigenMatchesNumpyOrder:
+    """sym_eigen's set-up, order and signs on Python floats give the bits of
+    the numpy form it replaced (sym_eigen_reference), eigenvector layout
+    included, from k = 1 to 8."""
+
+    @staticmethod
+    def check(m):
+        vals, vecs = sym_eigen_reference(m)
+        eig = sym_eigen(m)
+        assert eig.eigenvalues.tobytes() == vals.tobytes()
+        assert eig.eigenvectors.tobytes() == vecs.tobytes()
+        assert eig.eigenvectors.strides == vecs.strides
+
+    @given(
+        k=st.integers(1, 8),
+        entries=_ENTRIES,
+        diagonal=st.booleans(),
+        skew=st.sampled_from([0.0, 1e-12]),
+        scale=st.sampled_from([1.0, 1e-150, 1e155]),
+    )
+    @example(k=2, entries=[1.0] * 64, diagonal=False, skew=0.0, scale=1.0)  # columns (c, -c)
+    @example(k=4, entries=[-0.0] * 64, diagonal=False, skew=0.0, scale=1.0)
+    def test_bit_equal_to_numpy_order(self, k, entries, diagonal, skew, scale):
+        x = np.reshape(entries[:k * k], (k, k))
+        if diagonal:  # every repeated entry is a tied eigenvalue
+            x = np.diag(np.diag(x))
+        m = np.where(np.tri(k, dtype=bool), x.T, x) * scale  # symmetric; zeros keep their sign
+        if skew:  # an asymmetry within the symmetry tolerance
+            m = m + np.triu(np.full((k, k), skew * max(1.0, np.abs(m).max())), 1)
+        self.check(m)
+
+    @pytest.mark.parametrize("entry", [-0.0, 0.0, -3.0, 5e-324])
+    def test_1x1(self, entry):
+        self.check(np.array([[entry]]))
 
 
 class TestSvd:

@@ -1,13 +1,22 @@
 """Tests for correlation, component matching, and the Amari index."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ebiunmix import metrics
 from ebiunmix.errors import DimensionError, InvalidInputError, UndefinedCorrelationError
 from ebiunmix.metrics import amari_index, match_components
 
-from oracles import amari_loops, correlations_reference, match_components_loops
+from oracles import (
+    amari_loops,
+    amari_reference,
+    correlations_reference,
+    match_components_loops,
+    match_components_reference,
+)
 
 
 def pair_correlation(x, y):
@@ -139,6 +148,61 @@ class TestMatchComponents:
         assert report.correlations == tuple(float(expected[i, j]) for i, j in report.assignment)
 
 
+class TestMatchesNumpyForm:
+    """match_components and amari_index on Python floats give the bits of the
+    numpy form they replaced (match_components_reference, amari_reference)."""
+
+    @given(
+        k_small=st.integers(1, 3),
+        k_large=st.integers(1, 8),
+        estimated_shorter=st.booleans(),
+        copies=st.booleans(),
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_match_components(self, k_small, k_large, estimated_shorter, copies, n, seed):
+        # the permutation search stays small: at most 8 * 7 * 6 assignments
+        k_est, k_true = (k_small, k_large) if estimated_shorter else (k_large, k_small)
+        rng = np.random.default_rng(seed)
+        truth = np.round(rng.standard_normal((n, k_true)))  # rounding makes -0.0 and ties
+        truth[0] += 0.5  # a half-integer first row: no column is constant
+        if copies:  # signed copies of the sources: tied |correlations| of exactly 1
+            estimated = truth[:, rng.integers(0, k_true, k_est)] * rng.choice([-1.0, 1.0], k_est)
+        else:
+            estimated = np.round(truth @ rng.standard_normal((k_true, k_est)), 1)
+            estimated += rng.standard_normal((n, k_est))
+        report = match_components(estimated, truth)
+        assignment, correlations, leakage, amari = match_components_reference(estimated, truth)
+        assert report.assignment == assignment
+        assert report.correlations == correlations
+        assert report.leakage == leakage
+        assert np.float64(report.amari_index).tobytes() == np.float64(amari).tobytes()
+
+    @given(
+        k=st.integers(1, 10),
+        entries=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-3, 3.0]) | st.floats(-5, 5),
+                         min_size=100, max_size=100),
+    )
+    def test_amari_index(self, k, entries):
+        # from k = 8 on numpy's row sums are pairwise
+        p = np.reshape(entries[:k * k], (k, k))
+        if not (np.abs(p).max(axis=1).all() and np.abs(p).max(axis=0).all()):
+            with pytest.raises(InvalidInputError, match="all-zero row or column"):
+                amari_index(p, np.eye(k))
+            return
+        expected = amari_reference(p @ np.eye(k))
+        assert np.float64(amari_index(p, np.eye(k))).tobytes() == np.float64(expected).tobytes()
+
+    def test_correlation_of_tiny_columns(self, rng):
+        # the product of the sums of squares underflows; numpy divided by zero there
+        truth = rng.standard_normal((100, 2))
+        estimated = truth @ rng.standard_normal((2, 2)) + 0.1 * rng.standard_normal((100, 2))
+        report = match_components(estimated, truth)
+        tiny = match_components(1e-100 * estimated, 1e-100 * truth)
+        assert tiny.assignment == report.assignment
+        assert np.abs(np.subtract(tiny.correlations, report.correlations)).max() <= 1e-12
+
+
 class TestAmariIndex:
     def test_perfect_unmixing(self, rng):
         a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
@@ -170,6 +234,14 @@ class TestAmariIndex:
         scale = float(rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0]))
         transformed = scale * p[rng.permutation(3)][:, rng.permutation(3)]
         assert amari_index(transformed, np.eye(3)) == pytest.approx(base, abs=1e-10)
+
+    def test_nan_entry_gives_nan(self):
+        # numpy's maxima propagate NaN, so a row of 0 and NaN is not all zero
+        # (a NaN correlation comes from sums of squares that overflow)
+        p = [[0.0, math.nan], [1.0, 1.0]]
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(amari_reference(np.array(p)))
+        assert math.isnan(metrics._amari_of(p))
 
     def test_zero_exactly_for_scaled_permutation(self, rng):
         # per-component sign/scale ambiguity must not register as error

@@ -1,6 +1,8 @@
 """Tests for PCA fit, projection, whitening, and explained variance."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ebiunmix.dsp import SignalMatrix
 from ebiunmix.errors import (
@@ -13,7 +15,7 @@ from ebiunmix.linalg import svd
 from ebiunmix.pca import explained_variance, fit_pca, project, whiten
 from ebiunmix.synth import default_scenario
 
-from oracles import charpoly_eigenvalues, covariance_loops
+from oracles import charpoly_eigenvalues, covariance_loops, pca_reference
 
 
 def collinear_data():
@@ -244,12 +246,39 @@ class TestWhiten:
         again = (white @ dewhitening) @ whitening
         assert np.abs(again - white).max() < 1e-8 * np.abs(white).max()
 
+    @pytest.mark.parametrize("n,k", [(4, 4), (3, 3), (2, 2), (1, 1), (3, 4)])
+    def test_k_or_fewer_samples_rejected(self, rng, n, k):
+        # centred, n samples span n - 1 directions at most, fewer than k
+        x = rng.standard_normal((10, 4))
+        with pytest.raises(InsufficientDataError, match=f"fewer than the {k + 1} that whitening"):
+            whiten(fit_pca(x), x[:n], k)
+
     def test_degenerate_component_rejected(self):
         data, _ = collinear_data()
         model = fit_pca(data)
         with pytest.raises(DegenerateComponentError) as err:
             whiten(model, data, 2)
         assert err.value.component == 1
+
+
+class TestMatchesNumpyForm:
+    @given(
+        p=st.integers(1, 8),
+        n=st.integers(9, 40),
+        copies=st.integers(0, 7),
+        zeros=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eigenvalues_and_explained_variance(self, p, n, copies, zeros, seed):
+        # copied and all-zero channels leave eigenvalues at or next to zero,
+        # some below it, for the clamp; from p = 8 on numpy's sums are pairwise
+        x = np.random.default_rng(seed).standard_normal((n, p))
+        x[:, p - min(copies, p - 1):] = x[:, :1]
+        x[:, p - min(zeros, p - 1):] = 0.0
+        model = fit_pca(x)
+        eigenvalues, explained = pca_reference(x)
+        assert model.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert [explained_variance(model, k) for k in range(1, p + 1)] == explained
 
 
 class TestExplainedVariance:

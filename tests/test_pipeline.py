@@ -305,7 +305,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("retained", [None, 1, 2, 3, 4, 5])
     def test_up_front_checks_agree_with_frame_stages(self, mode, channels, retained):
         # run_pipeline refuses up front exactly the configs whose every frame fails at
-        # pca, at decimated frame lengths 1, 2, channels - 1, channels and 100
+        # pca or whiten, at decimated frame lengths 1, 2, channels - 1, channels and 100
         for decimated_len in sorted({1, 2, channels - 1, channels, 100} - {0}):
             frame_len = 10 * decimated_len  # decimated by the default 10
             samples = np.random.default_rng(channels).standard_normal((2 * frame_len, channels))
@@ -318,7 +318,7 @@ class TestRunPipeline:
                 refused = False
             except (DimensionError, InsufficientDataError):
                 refused = True
-            assert {r.stage == "pca" for r in results} == {refused}, decimated_len
+            assert {r.stage in ("pca", "whiten") for r in results} == {refused}, decimated_len
 
     def test_short_signal_warns_and_produces_nothing(self):
         sig = SignalMatrix(np.zeros((10, 4)), 1000.0)
