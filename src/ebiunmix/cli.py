@@ -30,6 +30,7 @@ from .pipeline import (
     FILTER_POSITIONS,
     MODES,
     PipelineConfig,
+    _preflight,
     _write_table,
     read_csv,
     run_pipeline,
@@ -175,10 +176,11 @@ def _cmd_run(args) -> int:
     signal = read_csv(args.input)
     truth = read_csv(args.truth) if args.truth else None
 
-    components, report = run_pipeline(signal, config, truth)
-
-    out_dir = Path(args.out_dir)  # made only once the run was not refused up front
+    _preflight(signal, config, truth)
+    out_dir = Path(args.out_dir)  # made once the run is not refused, before any frame runs
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    components, report = run_pipeline(signal, config, truth)
     stem = Path(args.input).stem
     for idx, comp in enumerate(components):
         if comp is None:

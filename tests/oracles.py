@@ -16,7 +16,9 @@ pca_reference are of
 another kind: each keeps an earlier form of package code, in numpy's own
 axis-0 means, products with transposed views, reductions, sorts and clips,
 which the package's current form, partly on Python floats, must match bit
-for bit.
+for bit. read_csv_reference is of that kind too: the CSV reader that fed
+numpy's parser one stripped line at a time, which the streaming reader must
+match in samples, labels, rate and every error.
 """
 
 import itertools
@@ -425,3 +427,81 @@ def match_components_loops(estimated, truth):
     )
     matched = corr[np.ix_([i for i, _ in pairs], [j for _, j in pairs])]
     return pairs, correlations, leakage, amari_loops(matched)
+
+
+def read_csv_reference(path):
+    """read_csv as a line scan: every line stripped in Python, `# key=value`
+    lines to a dict, blank lines skipped, the rest fed to np.loadtxt one line
+    at a time; on a refusal the rows are judged one by one for the error."""
+    from ebiunmix.dsp import SignalMatrix
+    from ebiunmix.errors import CsvFormatError
+
+    def numbers(text):
+        try:
+            return np.loadtxt([text], delimiter=",", comments=None, ndmin=1) if text else None
+        except ValueError:
+            return None
+
+    meta, line_no = {}, 0
+
+    def rows(fh):
+        nonlocal line_no
+        fh.seek(0)
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                if eq:
+                    meta[key.strip()] = (value.strip(), line_no)
+            elif line:
+                yield line_no, line
+
+    def raise_at_bad_row(fh, n_cols):
+        scan = rows(fh)
+        next(scan)
+        for row_no, line in scan:
+            cells = [c.strip() for c in line.split(",")]
+            if len(cells) != n_cols:
+                raise CsvFormatError(
+                    f"expected {n_cols} columns, found {len(cells)}", line_number=row_no
+                )
+            values = numbers(line)
+            if values is not None and np.isfinite(values).all():
+                continue
+            for cell in cells:
+                values = numbers(cell)
+                if values is None or not np.isfinite(values).all():
+                    kind = "non-numeric" if values is None else "non-finite"
+                    raise CsvFormatError(f"{kind} cell {cell!r}", line_number=row_no)
+
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        scan = rows(fh)
+        header, first = next(scan, None), next(scan, None)
+        if header is not None and numbers(header[1]) is not None:
+            raise CsvFormatError(
+                "expected a header row of channel labels, found numeric data",
+                line_number=header[0],
+            )
+        labels = () if header is None else tuple(c.strip() for c in header[1].split(","))
+        if first is not None:
+            data = (line for _, line in itertools.chain([first], scan))
+            try:
+                samples = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                samples = None
+            if samples is None or samples.shape[1] != len(labels) or not np.isfinite(samples).all():
+                raise_at_bad_row(fh, len(labels))
+
+    rate_text, rate_line = meta.get("rate_hz", (None, line_no))
+    if rate_text is None:
+        raise CsvFormatError("missing required '# rate_hz=' comment", line_number=rate_line)
+    rate = numbers(rate_text)
+    if rate is None or rate.shape != (1,) or not 0 < rate[0] < np.inf:
+        raise CsvFormatError(
+            f"rate_hz must be a finite number > 0, got {rate_text!r}", line_number=rate_line
+        )
+    if header is None:
+        raise CsvFormatError("missing header row", line_number=line_no)
+    if first is None:
+        raise CsvFormatError("no data rows", line_number=line_no)
+    return SignalMatrix(samples, rate.item(), labels)

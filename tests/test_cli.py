@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ebiunmix import pipeline
 from ebiunmix.cli import _write_periodogram, main
 from ebiunmix.dsp import SignalMatrix
 from ebiunmix.pipeline import _WRITE_BLOCK, read_csv, write_csv
@@ -296,6 +297,23 @@ class TestRunCommand:
         assert f"error: {message}" in captured.err
         assert "FAILED" not in captured.out
         assert not (tmp_path / "bad").exists()  # the output directory is not made
+
+    def test_out_dir_that_cannot_be_made_exits_1_before_any_frame(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        mixture_path, _ = synth_files(tmp_path)
+        (tmp_path / "file").write_text("")
+
+        def process_frame(*args):
+            raise AssertionError("a frame ran before the output directory was made")
+
+        monkeypatch.setattr(pipeline, "process_frame", process_frame)
+        capsys.readouterr()
+        code = run_cli(
+            "run", "--input", str(mixture_path), "--out-dir", str(tmp_path / "file" / "x")
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         mixture_path, _ = synth_files(tmp_path)

@@ -32,7 +32,7 @@ from ebiunmix.pipeline import (
 )
 from ebiunmix.synth import default_scenario
 
-from oracles import newton_schulz_polar
+from oracles import newton_schulz_polar, read_csv_reference
 
 
 def strip_timings(report_dict):
@@ -634,3 +634,91 @@ class TestCsvIO:
         data_bytes = back.samples.nbytes
         # streaming parse: peak well below the ~20x of a read-all-text approach
         assert peak < 5 * data_bytes + 10 * 1024 * 1024
+
+
+def _read_outcome(reader, path):
+    """What reader makes of path: the signal's sample bytes, labels and rate, or
+    the exception's type, message and line number."""
+    try:
+        sig = reader(path)
+    except Exception as exc:  # noqa: BLE001 - both readers must fail alike
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return sig.samples.shape, sig.samples.tobytes(), sig.channel_labels, sig.sample_rate_hz
+
+
+_EXTRA_LINES = ["# note=x", "# plain note", "#", "  # source = lab ", "", " ", "\t", " \t ", "\x0c"]
+_GOOD_RATES = ["1000.0", "250", " 44.1 ", "1e3"]
+_BAD_RATES = ["abc", "0", "-5", "nan", "inf", "1_000", ""]
+_ODD_CELLS = ["1_000", "4.0 # note", "nan", "inf", "-inf", "1e999", "abc", "", " 1.5 ", "-0.0", "+2"]
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text as the reader meets it: a header (or a numeric one, or none), rows
+    of %.17g cells with odd cells and ragged rows mixed in, and comment, blank,
+    whitespace-only and rate_hz lines anywhere, with LF or CRLF and a BOM or not.
+    Each kind of fault, an empty body among them, is drawn about one time in
+    three, so about a quarter of the files take the stream path."""
+    sometimes = st.integers(0, 2).map(lambda v: v == 2)  # shrinks toward no fault
+    n_cols = draw(st.integers(1, 3))
+    good = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}")
+    cell = st.one_of(good, st.sampled_from(_ODD_CELLS)) if draw(sometimes) else good
+    widths = (max(1, n_cols - 1), n_cols + 1) if draw(sometimes) else (n_cols, n_cols)
+    row = st.lists(cell, min_size=widths[0], max_size=widths[1])
+    header = draw(st.sampled_from(["numeric", "none"])) if draw(sometimes) else "labels"
+    lines = {
+        "labels": [",".join(f"ch{i + 1}" for i in range(n_cols))],
+        "numeric": [",".join(["1.0"] * n_cols)],
+        "none": [],
+    }[header]
+    rows = draw(st.lists(row, min_size=0 if draw(sometimes) else 1, max_size=4))
+    lines += [",".join(cells) for cells in rows]
+    extras = draw(st.lists(st.sampled_from(_EXTRA_LINES), max_size=3)) if draw(sometimes) else []
+    for extra in extras:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if not draw(sometimes):  # rate_hz missing one time in three
+        rate = draw(st.sampled_from(_BAD_RATES if draw(sometimes) else _GOOD_RATES))
+        at = draw(st.integers(0, len(lines))) if draw(sometimes) else 0
+        lines.insert(at, f"# rate_hz={rate}")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+class TestCsvReaderPaths:
+    """read_csv streams the data rows into numpy's parser and falls back to a
+    line scan; both must give what the line scan alone gave."""
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_files())
+    @example(text="# rate_hz=100\nch1,ch2\n1.0,2.0\n# note=x\n\n3.0,4.0\n")
+    @example(text="# rate_hz=100\r\nch1,ch2\r\n1.0,2.0\r\n \r\n3.0,4.0\r\n# rate_hz=50\r\n")
+    @example(text="\ufeff# rate_hz=100\nch1\n1.0\n\t\n2.0\n")
+    @example(text="# rate_hz=100\nch1,ch2\n")
+    @example(text="# rate_hz=100\nch1,ch2\n\n\n")
+    @example(text="ch1,ch2\n1.0,2.0\n")
+    def test_same_result_as_line_scan(self, tmp_path, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_outcome(read_csv, path) == _read_outcome(read_csv_reference, path)
+
+    @pytest.mark.parametrize("kind", ["mixture", "truth", "one_column", "one_row"])
+    def test_written_files_never_enter_the_line_scan(self, tmp_path, monkeypatch, kind):
+        mixture, truth = default_scenario(n=3000, seed=2)
+        sig = {
+            "mixture": mixture,
+            "truth": truth,
+            "one_column": SignalMatrix(mixture.samples[:, :1], 250.0, ("z",)),
+            "one_row": SignalMatrix(mixture.samples[:1], 1000.0),
+        }[kind]
+        path = tmp_path / "sig.csv"
+        write_csv(sig, path)
+
+        def line_scan(fh):
+            raise AssertionError("a file written by write_csv took the line scan")
+
+        monkeypatch.setattr(pipeline, "_read_scanned", line_scan)
+        back = read_csv(path)
+        assert back.samples.tobytes() == sig.samples.tobytes()
+        assert back.channel_labels == sig.channel_labels
+        assert back.sample_rate_hz == sig.sample_rate_hz
