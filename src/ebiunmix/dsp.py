@@ -13,9 +13,12 @@ NaN of the pipeline's first-sample subtraction, which runs just before it.
 
 apply_filter evaluates the biquad block by block from zero state, not sample
 by sample; only the last two outputs of each block are carried into the
-next, one Python float step per block and channel. At the pipeline's
-settings (40 Hz at 100 Hz or 1 kHz) it matches the difference equation to
-about 1e-15 relative to the output's peak.
+next, one Python float step per block and channel. The carry then reaches
+every row of the blocks through two matrix products whose kernels hold one
+nonzero term per output entry, so each entry is one rounded product on any
+BLAS kernel, and the add runs along the samples. At the pipeline's settings
+(40 Hz at 100 Hz or 1 kHz) it matches the difference equation to about 1e-15
+relative to the output's peak.
 """
 
 import functools
@@ -31,8 +34,9 @@ from .linalg import check_matrix, check_number
 SQRT2 = math.sqrt(2.0)
 # Samples per block of _biquad_pass. Each sample costs a _BLOCK-long dot
 # product, and each block and channel a few float operations of the carry.
-# Timed at 10^3 and 10^4 samples x 4 channels, 32 was ~10 % slower than 64
-# and 128 ~5 % faster. The error does not grow with the block size, but the
+# Timed with the carry as spread products, best of 4 rounds at 10^3 and 10^4
+# samples x 4 channels on a 2-core x86-64 VM, 32 was ~12 % slower than 64 and
+# 128 ~8-16 % slower. The error does not grow with the block size, but the
 # rounding depends on it: another value changes the output bits, so it stays.
 _BLOCK = 64
 
@@ -188,8 +192,21 @@ def design_butterworth_lp2(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
 
 
 def frequency_response(coeffs: BiquadCoefficients, freqs_hz, sample_rate_hz: float) -> np.ndarray:
-    """Complex response of the biquad at the given frequencies (Hz)."""
-    z = np.exp(2j * np.pi * np.asarray(freqs_hz, dtype=float) / sample_rate_hz)
+    """Complex response of the biquad at the given frequencies (Hz).
+
+    Raises:
+        InvalidInputError: rate not in (0, inf), or a frequency whose phase
+            step 2 pi f / rate is not finite (f itself NaN or inf, or so large
+            against the rate that the step overflows).
+    """
+    check_number(sample_rate_hz, "sample_rate_hz", above=0, below=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        phase = 2j * np.pi * np.asarray(freqs_hz, dtype=float) / sample_rate_hz
+    if not np.isfinite(phase).all():
+        raise InvalidInputError(
+            f"freqs_hz must hold finite frequencies, with a finite phase step at {sample_rate_hz} Hz"
+        )
+    z = np.exp(phase)
     num = coeffs.b0 + coeffs.b1 / z + coeffs.b2 / z**2
     den = 1.0 + coeffs.a1 / z + coeffs.a2 / z**2
     return num / den
@@ -221,8 +238,15 @@ def _biquad_pass(x: np.ndarray, c: BiquadCoefficients) -> np.ndarray:
     response, a matmul with the Toeplitz kernel of _block_kernel, plus the
     response g1 y[-1] + g2 y[-2] to the last two outputs of the previous
     block. Only those two outputs of each block feed the next, so the carry
-    runs on Python floats over the block boundaries alone, and is then added
-    to whole blocks in a few array passes. Every output is rounded as
+    runs on Python floats over the block boundaries alone.
+
+    It then reaches whole blocks as two matrix products, last @ spread1 and
+    prev @ spread2: a row of the p carried outputs of a block times the
+    spread kernel is the block's carry response in y's own row order, so the
+    add to y runs along the samples. The products are exact roundings: an
+    entry's one nonzero term is g[t] y[-1] and every other term is a zero, so
+    whatever a BLAS kernel's order of terms or use of FMA, the entry is that
+    one product, rounded once. Every output is rounded as
     y0 + (g1 y[-1] + g2 y[-2]), the order of the plain block-by-block loop.
     """
     n, p = x.shape
@@ -233,7 +257,7 @@ def _biquad_pass(x: np.ndarray, c: BiquadCoefficients) -> np.ndarray:
     np.multiply(c.b0, x, out=v[:n])
     v[1:n] += np.multiply(c.b1, x[:-1], out=y[1:n])
     v[2:n] += np.multiply(c.b2, x[:-2], out=y[2:n])
-    toeplitz, g1, g2 = _block_kernel(c)
+    toeplitz, g1, g2, spread1, spread2 = _block_kernel(c, p)
     v3, y3 = v.reshape(m, _BLOCK, p), y.reshape(m, _BLOCK, p)
     np.matmul(toeplitz, v3, out=y3)
     if m == 1:
@@ -246,29 +270,32 @@ def _biquad_pass(x: np.ndarray, c: BiquadCoefficients) -> np.ndarray:
         for k in range(1, m - 1):
             a, b = a_col[k] + (g11 * a + g12 * b), b_col[k] + (g21 * a + g22 * b)
             a_col[k], b_col[k] = a, b
-    last, prev = np.array(last)[:, :, None], np.array(prev)[:, :, None]
+    last, prev = np.array(last).T, np.array(prev).T  # row k: block k's p outputs
     # v is free now. The two carry products of up to m // 2 blocks fit in it,
-    # channel-major, so that each product runs along a block's _BLOCK rows.
+    # laid out as the blocks of y, so the add runs along the samples.
     scratch, w = v.reshape(-1), m // 2
     for s in range(0, m - 1, w):
         e = min(s + w, m - 1)
-        shape = (p, e - s, _BLOCK)
-        size = p * (e - s) * _BLOCK
-        carry = np.multiply(g1, last[:, s:e], out=scratch[:size].reshape(shape))
-        carry += np.multiply(g2, prev[:, s:e], out=scratch[size : 2 * size].reshape(shape))
-        y3[s + 1 : e + 1] += carry.transpose(1, 2, 0)
+        size = (e - s) * _BLOCK * p
+        carry = np.matmul(last[s:e], spread1, out=scratch[:size].reshape(e - s, -1))
+        carry += np.matmul(prev[s:e], spread2, out=scratch[size : 2 * size].reshape(e - s, -1))
+        y3[s + 1 : e + 1] += carry.reshape(e - s, _BLOCK, p)
     return y[:n]
 
 
 @functools.lru_cache(maxsize=16)
-def _block_kernel(c: BiquadCoefficients) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(toeplitz, g1, g2) of _biquad_pass, built once per coefficient set.
+def _block_kernel(c: BiquadCoefficients, p: int) -> tuple[np.ndarray, ...]:
+    """(toeplitz, g1, g2, spread1, spread2) of _biquad_pass for p channels.
 
     h holds the first _BLOCK + 1 taps of 1 / (1 + a1 z^-1 + a2 z^-2). The
     lower-triangular Toeplitz matrix of h[:_BLOCK] maps a block's numerator
     to its zero-state response; g1 = h[1:] and g2 = -a2 h[:-1] give the
-    response to a unit y[-1] and y[-2]. The arrays are read-only, as every
-    call with equal coefficients shares them.
+    response to a unit y[-1] and y[-2]. spread1 and spread2 are those
+    responses laid out for p channels: the p x (_BLOCK p) matrix with
+    spread[j, t p + j] = g[t] and zeros elsewhere, so that a row of p carried
+    outputs times it is a block of carry responses in the order of y's rows.
+    The arrays are built once per coefficient set and channel count and are
+    read-only, as every such call shares them.
     """
     h = [1.0, -c.a1]
     for i in range(2, _BLOCK + 1):
@@ -276,6 +303,10 @@ def _block_kernel(c: BiquadCoefficients) -> tuple[np.ndarray, np.ndarray, np.nda
     h = np.array(h)
     toeplitz = np.tril(h[np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))])
     g1, g2 = h[1:], -c.a2 * h[:-1]
-    for a in (toeplitz, g1, g2):
+    spread = np.zeros((2, p, _BLOCK, p))
+    channel = np.arange(p)
+    spread[0, channel, :, channel], spread[1, channel, :, channel] = g1, g2
+    kernel = (toeplitz, g1, g2, *spread.reshape(2, p, _BLOCK * p))
+    for a in kernel:
         a.flags.writeable = False
-    return toeplitz, g1, g2
+    return kernel

@@ -293,9 +293,20 @@ def _preprocess(frame: SignalMatrix, config: PipelineConfig) -> SignalMatrix:
 
 
 def _from_first_sample(frame: SignalMatrix) -> SignalMatrix:
-    """Each channel minus its first sample: the zero-state filter starts at rest."""
-    with np.errstate(over="ignore"):  # the filter that follows fails an overflow
-        samples = frame.samples - frame.samples[0]
+    """Each channel minus its first sample: the zero-state filter starts at rest.
+
+    The output is a fresh C-ordered array, bit for bit samples - samples[0].
+    It is filled one channel at a time, a subtract of one float along the
+    samples: numpy's broadcast of a p-vector over n rows runs its inner loop
+    once per row, p elements long, and costs about twice as much at p = 4.
+    An entry that overflows becomes inf without a warning; the filter that
+    follows rejects it.
+    """
+    x = frame.samples
+    samples = np.empty(x.shape)
+    with np.errstate(over="ignore"):
+        for j, first in enumerate(x[0].tolist()):
+            np.subtract(x[:, j], first, out=samples[:, j])
     return SignalMatrix._derived(samples, frame.sample_rate_hz, frame.channel_labels)
 
 

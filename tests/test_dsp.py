@@ -192,6 +192,21 @@ class TestButterworthDesign:
         with pytest.raises(FilterDesignError, match="sample_rate_hz"):
             design_butterworth_lp2(40.0, rate)
 
+    @pytest.mark.parametrize("freq,rate,message", [
+        (10.0, -1000.0, "sample_rate_hz"),
+        (10.0, True, "sample_rate_hz"),
+        (10.0, 0.0, "sample_rate_hz"),
+        (10.0, np.nan, "sample_rate_hz"),
+        (np.nan, 1000.0, "freqs_hz"),
+        (np.inf, 1000.0, "freqs_hz"),
+    ])
+    def test_frequency_response_refuses_bad_rate_or_frequency(self, freq, rate, message):
+        coeffs = design_butterworth_lp2(40.0, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                frequency_response(coeffs, [1.0, freq], rate)
+
 
 class TestApplyFilter:
     def test_zero_in_zero_out(self):
@@ -319,14 +334,20 @@ class TestApplyFilterOracles:
         assert self.relative_error(y, lfilter(b, a, x, axis=0)) <= tol
 
     @pytest.mark.parametrize("cutoff,rate", [setting[:2] for setting in SETTINGS])
-    @pytest.mark.parametrize("n", LENGTHS)
-    @pytest.mark.parametrize("channels", [1, 4])
+    # 3 blocks with a one-sample last block, 3 whole blocks, and 8 and 157
+    # blocks, whose carries fill the scratch's two halves with 4 + 3 and 78 + 78
+    @pytest.mark.parametrize("n", LENGTHS + [2 * _BLOCK + 1, 3 * _BLOCK, 7 * _BLOCK + 5, 10000])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4, 5])
     def test_bit_identical_to_whole_block_carry(self, cutoff, rate, n, channels):
         rng = np.random.default_rng(n * 10 + channels)
         x = rng.standard_normal((n, channels)) + 10.0 * np.arange(1, channels + 1)
+        if channels >= 3:  # a dead electrode after the first-sample shift, and a flat one
+            x[:, 1], x[:, 2] = 0.0, 7.5
         coeffs = design_butterworth_lp2(cutoff, rate)
         y = apply_filter(make_signal(x, rate), coeffs).samples
-        assert np.array_equal(y, block_biquad_reference(x, coeffs, _BLOCK))
+        ref = block_biquad_reference(x, coeffs, _BLOCK)
+        assert np.array_equal(y, ref)
+        assert np.array_equal(np.signbit(y), np.signbit(ref))
 
     @pytest.mark.parametrize("cutoff,rate,tol", SETTINGS)
     @pytest.mark.parametrize("at", [_BLOCK - 2, _BLOCK - 1, 2 * _BLOCK - 1])

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ebiunmix import fastica, pipeline
-from ebiunmix.dsp import SignalMatrix, frame_signal
+from ebiunmix.dsp import SignalMatrix, decimate, frame_signal
 from ebiunmix.errors import (
     CsvFormatError,
     DegenerateComponentError,
@@ -371,6 +371,46 @@ class TestRunPipeline:
         assert len(frame["W"]) == 2
         assert list(frame["convergence"]) == [f.name for f in fields(ConvergenceReport)]
         assert list(frame["matching"]) == [f.name for f in fields(SeparationReport)]
+
+
+def _shift_cases():
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((1000, 4)) * 1e3 + np.array([1e4, -2.0, 0.0, 5.0])
+    x[0, 2] = 0.0
+    x[1::7, 2] = -0.0  # -0.0 - 0.0 keeps its sign bit
+    x[3::5, 0] = x[0, 0]  # rows equal to the first give +0.0
+    whole = SignalMatrix(x, 1000.0)
+    return {
+        "contiguous": whole,
+        "decimated": decimate(whole, 10),
+        "one_row": SignalMatrix(x[:1], 1000.0),
+        "one_channel": SignalMatrix(x[:, 2:3], 1000.0),
+    }
+
+
+class TestFromFirstSample:
+    @pytest.mark.parametrize("case", ["contiguous", "decimated", "one_row", "one_channel"])
+    def test_bit_equal_to_the_broadcast_subtraction(self, case):
+        frame = _shift_cases()[case]
+        expected = frame.samples - frame.samples[0]
+        out = pipeline._from_first_sample(frame)
+        assert np.array_equal(out.samples, expected)
+        assert np.array_equal(np.signbit(out.samples), np.signbit(expected))
+        assert out.samples.flags.c_contiguous and not out.samples.flags.writeable
+        assert (out.sample_rate_hz, out.channel_labels) == (frame.sample_rate_hz, frame.channel_labels)
+
+    def test_overflow_gives_inf_without_a_warning_and_fails_at_preprocess(self):
+        x = np.zeros((10000, 4))
+        x[0, 1], x[20, 1] = 1.5e308, -1.5e308  # rows decimation keeps
+        frame = SignalMatrix(x, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pipeline._from_first_sample(frame)
+            comp, result = process_frame(frame, PipelineConfig(), 0)
+        assert out.samples[20, 1] == -np.inf
+        assert np.isfinite(np.delete(out.samples, 20, axis=0)).all()
+        assert comp is None and result.stage == "preprocess"
+        assert result.error == "InvalidInputError: samples contains non-finite entries"
 
 
 class TestDeterminismAndFrameIndependence:
