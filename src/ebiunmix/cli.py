@@ -147,7 +147,7 @@ def _build_config(args) -> PipelineConfig:
 
 def _with_time_column(signal: SignalMatrix) -> SignalMatrix:
     extended = np.column_stack([signal.times(), signal.samples])
-    return SignalMatrix(
+    return SignalMatrix._derived(
         extended, signal.sample_rate_hz, ("time_s",) + signal.channel_labels
     )
 

@@ -46,9 +46,9 @@ class SignalMatrix:
     """Multichannel time-series block: rows are samples, columns are channels.
 
     The constructor validates and copies samples, so later changes to the
-    caller's array do not reach it; the copy is read-only. Stage outputs are
-    built with _derived instead: read-only views or fresh arrays, not copied
-    and not checked again.
+    caller's array do not reach it; the copy is read-only. Stage outputs, and
+    the arrays read_csv has parsed and checked, are built with _derived
+    instead: read-only views or fresh arrays, not copied and not checked again.
     """
 
     samples: np.ndarray
@@ -76,7 +76,8 @@ class SignalMatrix:
     @classmethod
     def _derived(cls, samples: np.ndarray, sample_rate_hz: float,
                  channel_labels: tuple) -> "SignalMatrix":
-        """A stage output derived from validated SignalMatrix values, taken as it is.
+        """A stage output derived from validated SignalMatrix values, or values
+        already checked as the constructor would check them, taken as it is.
 
         samples is marked read-only; nothing is copied or checked. Of the
         stages, only apply_filter tests for entries that overflowed.

@@ -29,9 +29,9 @@ that this header row would not read back as: a label with a comma, a line
 break or surrounding whitespace, a first label starting with `#`, a lone
 empty label, or labels that read as numbers.
 
-read_csv reads the lines up to the header one by one, then streams the data
-rows from the open file into numpy's C parser. A file with a comment or
-whitespace-only line after the header, or with a fault, is re-read line by
+read_csv streams the data rows from the open file into numpy's C parser once
+the header is read. A file it cannot stream (a comment or whitespace-only line
+after the header, rate_hz only after it, or a fault) is walked again line by
 line: the same result, or the CsvFormatError of the first faulty line. Writing
 costs CPython's %.17g formatting, about 400 ns per cell.
 """
@@ -364,11 +364,14 @@ def _write_table(path, header: str, samples: np.ndarray) -> None:
 
 
 def read_csv(path) -> SignalMatrix:
-    """Parse a SignalMatrix CSV; the data rows stream from the file into numpy's parser.
+    """Parse a SignalMatrix CSV: one reader with one fallback.
 
-    A file the stream parse refuses (a comment or whitespace-only line after
-    the header, a missing or bad rate_hz, any fault) is re-read line by line:
-    the same result for a legal file, else the error at its first fault.
+    The lines up to the header are read one by one. Where the header is a
+    label row, the next line holds data and rate_hz is already valid, the rest
+    of the file streams into np.loadtxt, which skips an empty line as the line
+    scan does and refuses a comment or whitespace-only one. Otherwise, or when
+    numpy refuses the rows, the file is walked again line by line from its
+    start: the same result for a legal file, else the error at its first fault.
 
     Raises:
         CsvFormatError: numeric or missing header, ragged rows, non-numeric or
@@ -376,52 +379,24 @@ def read_csv(path) -> SignalMatrix:
             the 1-based line number.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
-        signal = _read_streamed(fh)
-        return _read_scanned(fh) if signal is None else signal
-
-
-def _read_streamed(fh) -> SignalMatrix | None:
-    """The CSV in fh, its data rows parsed by numpy straight from the file; None
-    where the line scan must decide.
-
-    The leading comment and blank lines and the header are read line by line;
-    every later line goes to np.loadtxt, which refuses a comment or
-    whitespace-only line there (an empty line it skips, as the scan does).
-    """
-    lines = _CsvLines(fh)
-    header = next(iter(lines), None)
-    first = fh.readline()  # loadtxt warns on a stream with no data row
-    rate = _rate(lines.meta.get("rate_hz", ("",))[0])
-    if header is None or not first.strip() or rate is None or _numbers(header[1]) is not None:
-        return None
-    labels = _labels(header[1])
-    try:
-        samples = np.loadtxt(itertools.chain([first], fh), delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if samples.shape[1] != len(labels) or not np.isfinite(samples).all():
-        return None
-    return SignalMatrix(samples, rate, labels)
-
-
-def _read_scanned(fh) -> SignalMatrix:
-    """The CSV in fh read line by line from its start; raises CsvFormatError at the first fault."""
-    lines = _CsvLines(fh)
-    rows = iter(lines)
-    header, first = next(rows, None), next(rows, None)
-    if header is not None and _numbers(header[1]) is not None:
-        raise CsvFormatError(
-            "expected a header row of channel labels, found numeric data", line_number=header[0]
-        )
-    labels = () if header is None else _labels(header[1])
-    if first is not None:
-        data = (line for _, line in itertools.chain([first], rows))
-        try:
-            samples = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            samples = None
-        if samples is None or samples.shape[1] != len(labels) or not np.isfinite(samples).all():
-            _raise_at_bad_row(lines, len(labels))
+        lines = _CsvLines(fh)
+        header = next(iter(lines), None)
+        if header is not None and _numbers(header[1]) is not None:
+            raise CsvFormatError(
+                "expected a header row of channel labels, found numeric data", line_number=header[0]
+            )
+        labels = () if header is None else _labels(header[1])
+        first = fh.readline()  # loadtxt warns on a stream with no data row
+        early_rate = lines.meta.get("rate_hz", ("",))[0]  # from the lines before the header
+        streams = header is not None and first.strip() and _rate(early_rate) is not None
+        samples = _table(itertools.chain([first], fh), len(labels)) if streams else None
+        if samples is None:
+            data = (line for _, line in itertools.islice(lines, 1, None))  # after the header
+            first = next(data, None)
+            if first is not None:
+                samples = _table(itertools.chain([first], data), len(labels))
+                if samples is None:
+                    _raise_at_bad_row(lines, len(labels))
 
     rate_text, rate_line = lines.meta.get("rate_hz", (None, lines.line_no))
     if rate_text is None:
@@ -433,9 +408,19 @@ def _read_scanned(fh) -> SignalMatrix:
         )
     if header is None:
         raise CsvFormatError("missing header row", line_number=lines.line_no)
-    if first is None:
+    if samples is None:
         raise CsvFormatError("no data rows", line_number=lines.line_no)
-    return SignalMatrix(samples, rate, labels)
+    return SignalMatrix._derived(samples, rate, labels)
+
+
+def _table(data, n_cols: int) -> np.ndarray | None:
+    """The data rows as an (n, n_cols) array of finite floats; None if numpy
+    refuses them or they are not that."""
+    try:
+        samples = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return samples if samples.shape[1] == n_cols and np.isfinite(samples).all() else None
 
 
 def _labels(header: str) -> tuple:

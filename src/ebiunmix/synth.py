@@ -40,11 +40,19 @@ DEFAULT_MIXING = (
 )
 
 
-def _normalize(x: np.ndarray) -> np.ndarray:
+def _normalize(x: np.ndarray, source: str) -> np.ndarray:
+    """x shifted and scaled to zero mean, unit variance.
+
+    Raises:
+        InvalidInputError: x is constant, so no scale gives it unit variance.
+    """
     x = x - x.mean()
     sd = x.std()
     if sd == 0.0:
-        return x
+        raise InvalidInputError(
+            f"the {source} source is constant over n={x.size} samples, so it cannot have "
+            "unit variance"
+        )
     return x / sd
 
 
@@ -59,10 +67,15 @@ def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC
     """Quasi-periodic pulse train: one Gaussian bump per beat.
 
     Beat intervals are 1/fundamental scaled by (1 + u), u drawn uniformly in
-    +-jitter_pct/100 per beat. Output is zero-mean unit-variance.
+    +-jitter_pct/100 per beat, so jitter_pct < 100 keeps every interval
+    positive. Output is zero-mean unit-variance.
+
+    Raises:
+        InvalidInputError: a parameter out of range, or no beat's pulse
+            reaches into the recording (the first beat falls at half a period).
     """
     _check_source(n, rate_hz, fundamental_hz)
-    check_number(jitter_pct, "jitter_pct", at_least=0, below=math.inf)
+    check_number(jitter_pct, "jitter_pct", at_least=0, below=100)
     rng = np.random.default_rng(seed)
     t = np.arange(n) / rate_hz
     sig = np.zeros(n)
@@ -77,7 +90,7 @@ def gen_cardiac(n: int, rate_hz: float, seed, *, fundamental_hz: float = CARDIAC
             sig[lo:hi] += np.exp(-0.5 * ((t[lo:hi] - center) / sigma) ** 2)
         jitter = (jitter_pct / 100.0) * rng.uniform(-1.0, 1.0)
         center += period * (1.0 + jitter)
-    return _normalize(sig)
+    return _normalize(sig, "cardiac")
 
 
 def gen_respiratory(n: int, rate_hz: float, seed, *,
@@ -85,7 +98,12 @@ def gen_respiratory(n: int, rate_hz: float, seed, *,
                     harmonics: int = 3) -> np.ndarray:
     """Harmonic series: sinusoids at m * fundamental weighted 1/m, with
     seeded phases; zero-mean unit-variance. Harmonics at/above Nyquist are
-    dropped with a warning."""
+    dropped with a warning.
+
+    Raises:
+        InvalidInputError: a parameter out of range, or n = 1, where the
+            series is constant.
+    """
     _check_source(n, rate_hz, fundamental_hz)
     check_number(harmonics, "harmonics", integral=True, at_least=1)
     rng = np.random.default_rng(seed)
@@ -100,7 +118,7 @@ def gen_respiratory(n: int, rate_hz: float, seed, *,
             )
             break
         sig += np.sin(2.0 * math.pi * freq * t + phase) / m
-    return _normalize(sig)
+    return _normalize(sig, "respiratory")
 
 
 def effective_sources(sources, correlation_injection: float) -> np.ndarray:

@@ -66,11 +66,18 @@ class TestSynthCommand:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag,value", [
-        ("--noise-sigma", "inf"), ("--correlation-injection", "1.0"),
+        ("--noise-sigma", "inf"), ("--correlation-injection", "1.0"), ("--jitter-pct", "150"),
     ])
     def test_bad_mixture_flag_exits_1(self, tmp_path, capsys, flag, value):
         assert run_cli("synth", "--out-dir", str(tmp_path), "--n", "1000", flag, value) == 1
         assert f"error: {flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_recording_that_ends_before_the_first_beat_exits_1(self, tmp_path, capsys):
+        # at 0.1 Hz the first beat falls at 5 s: the 3 s cardiac truth would be all zeros
+        argv = ("synth", "--out-dir", str(tmp_path), "--n", "3000", "--cardiac-hz", "0.1")
+        assert run_cli(*argv) == 1
+        assert "error: the cardiac source is constant over n=3000" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

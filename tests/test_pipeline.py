@@ -742,6 +742,18 @@ class TestCsvReaderPaths:
         path.write_bytes(text.encode("utf-8"))
         assert _read_outcome(read_csv, path) == _read_outcome(read_csv_reference, path)
 
+    @staticmethod
+    def _count_walks(monkeypatch) -> list:
+        """A list that gains one entry each time a _CsvLines walk starts."""
+        walks, walk = [], pipeline._CsvLines.__iter__
+
+        def counted(lines):
+            walks.append(lines)
+            return walk(lines)
+
+        monkeypatch.setattr(pipeline._CsvLines, "__iter__", counted)
+        return walks
+
     @pytest.mark.parametrize("kind", ["mixture", "truth", "one_column", "one_row"])
     def test_written_files_never_enter_the_line_scan(self, tmp_path, monkeypatch, kind):
         mixture, truth = default_scenario(n=3000, seed=2)
@@ -754,11 +766,23 @@ class TestCsvReaderPaths:
         path = tmp_path / "sig.csv"
         write_csv(sig, path)
 
-        def line_scan(fh):
-            raise AssertionError("a file written by write_csv took the line scan")
-
-        monkeypatch.setattr(pipeline, "_read_scanned", line_scan)
+        walks = self._count_walks(monkeypatch)
         back = read_csv(path)
+        assert len(walks) == 1, "a file written by write_csv took the line scan"
         assert back.samples.tobytes() == sig.samples.tobytes()
         assert back.channel_labels == sig.channel_labels
         assert back.sample_rate_hz == sig.sample_rate_hz
+
+    @pytest.mark.parametrize("text", [
+        "# rate_hz=100\nch1,ch2\n# note=x\n1.0,2.0\n3.0,4.0\n",  # a comment after the header
+        "ch1,ch2\n# rate_hz=100\n1.0,2.0\n3.0,4.0\n",  # rate_hz only after the header
+        "# rate_hz=100\nch1,ch2\n1.0,2.0\n \t\n3.0,4.0\n",  # a whitespace-only row
+    ])
+    def test_legal_files_numpy_refuses_take_the_line_scan(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        walks = self._count_walks(monkeypatch)
+        back = read_csv(path)
+        assert len(walks) == 2
+        assert back.samples.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert back.channel_labels == ("ch1", "ch2") and back.sample_rate_hz == 100.0

@@ -47,6 +47,11 @@ class TestGenCardiac:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             gen(1000, rate, 0)
 
+    def test_recording_that_ends_before_the_first_beat_rejected(self):
+        # the first beat falls at half a period, 5 s, after this 3 s recording
+        with pytest.raises(InvalidInputError, match="cardiac source is constant over n=3000"):
+            gen_cardiac(3000, 1000.0, 0, fundamental_hz=0.1)
+
 
 class TestGenRespiratory:
     def test_single_harmonic_is_pure_tone(self):
@@ -69,6 +74,10 @@ class TestGenRespiratory:
         mag_a = np.abs(np.fft.rfft(a))
         mag_b = np.abs(np.fft.rfft(b))
         assert np.abs(mag_a - mag_b).max() < 1e-6 * mag_a.max()
+
+    def test_one_sample_rejected(self):
+        with pytest.raises(InvalidInputError, match="respiratory source is constant over n=1"):
+            gen_respiratory(1, 1000.0, 0)
 
     def test_harmonic_above_nyquist_truncated_with_warning(self):
         with pytest.warns(UserWarning):
@@ -186,6 +195,8 @@ class TestScenario:
         {"correlation_injection": "0.3"},
         {"resp_hz": True},
         {"rate_hz": True, "cardiac_hz": 0.3, "resp_hz": 0.1},  # True is not 1 Hz
+        {"jitter_pct": 100.0},  # an interval of (1 + u) periods reaches 0 at u = -1
+        {"jitter_pct": 150.0},
     ])
     def test_bad_source_parameter_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
