@@ -156,11 +156,8 @@ def _drop_time_column(signal: SignalMatrix) -> SignalMatrix:
     if "time_s" not in signal.channel_labels:
         return signal
     keep = [i for i, lab in enumerate(signal.channel_labels) if lab != "time_s"]
-    return SignalMatrix(
-        signal.samples[:, keep],
-        signal.sample_rate_hz,
-        tuple(signal.channel_labels[i] for i in keep),
-    )
+    return SignalMatrix._derived(signal.samples[:, keep], signal.sample_rate_hz,
+                                 tuple(signal.channel_labels[i] for i in keep))
 
 
 def _write_periodogram(signal: SignalMatrix, path) -> None:

@@ -165,8 +165,9 @@ def design_butterworth_lp2(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
     exactly 1/sqrt(2) at the cutoff and exactly 1 at DC.
 
     Raises:
-        FilterDesignError: rate not in (0, inf), cutoff not a real number, or
-            cutoff not strictly between 0 and Nyquist.
+        FilterDesignError: rate not in (0, inf), cutoff not a real number,
+            cutoff not strictly between 0 and Nyquist, or cutoff / rate so
+            close to 0 or 1/2 that a rounded pole lands on the unit circle.
     """
     try:
         check_number(sample_rate_hz, "sample_rate_hz", above=0, below=math.inf)
@@ -187,8 +188,9 @@ def design_butterworth_lp2(cutoff_hz: float, sample_rate_hz: float) -> BiquadCoe
         a1=2.0 * (k * k - 1.0) / norm,
         a2=(1.0 - SQRT2 * k + k * k) / norm,
     )
-    if not coeffs.is_stable():
-        raise FilterDesignError("designed filter is unstable; parameters out of range")
+    if not coeffs.is_stable():  # stable in exact arithmetic; a pole rounded onto |z| = 1
+        raise FilterDesignError(f"cutoff {cutoff_hz} Hz at rate {sample_rate_hz} Hz is too "
+                                "close to 0 or to Nyquist for a double-precision biquad")
     return coeffs
 
 

@@ -22,7 +22,8 @@ order.
 
 The SVD is computed through the p x p Gram matrix rather than
 bidiagonalization, which is both simpler and faster when n >> p; it needs
-full column rank.
+full column rank under RANK_TOL, the one numerical-rank rule: a Gram or
+covariance eigenvalue at or below 1e-12 times the largest is zero.
 
 Sign convention: every eigenvector / right-singular-vector column is
 normalized so its largest-magnitude entry is positive, making outputs
@@ -46,9 +47,9 @@ from .errors import (
 JACOBI_OFF_DIAG_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
 
-# svd rejects a matrix whose smallest singular value is at or below this
-# fraction of the largest: U = Y V / d would divide by a zero or noise-level d.
-SVD_RANK_TOL = 1e-12
+# A Gram or covariance eigenvalue at or below this fraction of the largest is
+# numerically zero: svd, fit_pca's negative floor and whiten's cutoff read it.
+RANK_TOL = 1e-12
 
 _SYMMETRY_TOL = 1e-9
 
@@ -128,8 +129,9 @@ class SymEigen:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD: input = U @ diag(D) @ V.T; svd returns orthonormal U columns,
-    an orthogonal V, and D positive and sorted descending."""
+    """Thin SVD: input = U @ diag(D) @ V.T; svd returns U columns orthonormal
+    to ~eps * (D[0] / D[-1])^2 (at most ~2e-4, as D[-1] > 1e-6 * D[0]), an
+    orthogonal V, and D positive and sorted descending."""
 
     U: np.ndarray
     D: np.ndarray
@@ -215,12 +217,14 @@ def svd(data) -> SvdResult:
     """Thin SVD of a tall, full-column-rank matrix via the p x p Gram matrix.
 
     Singular values are the square roots of the Gram eigenvalues, V its
-    eigenvectors, and U = Y V / d.
+    eigenvectors, and U = Y V / d, whose U^T U departs from I by about
+    eps * (d[0] / d[-1])^2: ~2e-4 at the rank bound.
 
     Raises:
         DimensionError: fewer rows than columns.
-        InvalidInputError: rank deficient, the smallest singular value at or
-            below SVD_RANK_TOL times the largest (an all-zero matrix included).
+        InvalidInputError: rank deficient, the smallest Gram eigenvalue at or
+            below RANK_TOL times the largest (d[-1] <= 1e-6 * d[0]; an
+            all-zero matrix included).
     """
     y = check_matrix(data, "data")
     n, p = y.shape
@@ -229,7 +233,7 @@ def svd(data) -> SvdResult:
 
     eig = sym_eigen(y.T @ y)
     d = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    if d[-1] <= SVD_RANK_TOL * d[0]:
+    if eig.eigenvalues[-1] <= RANK_TOL * eig.eigenvalues[0]:
         raise InvalidInputError(
             f"matrix is rank deficient: singular values {d[0]:.3e} to {d[-1]:.3e}"
         )

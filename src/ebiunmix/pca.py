@@ -9,8 +9,9 @@ The means are linalg.sample_mean's: each column summed sequentially in
 sample order, the bits of numpy's x.mean(axis=0) on C-ordered input (and
 on the strided rows decimate returns); a single channel or F-ordered input
 goes to x.mean(axis=0) itself, whose sum is pairwise there. The
-eigenvalue clamp, whiten's near-zero test and explained_variance's sums run
-on Python floats with numpy's bits (see the linalg module docstring).
+eigenvalue clamp and whiten's near-zero test (both at linalg.RANK_TOL, the
+one numerical-rank rule) and explained_variance's sums run on Python floats
+with numpy's bits (see the linalg module docstring).
 """
 
 from dataclasses import dataclass
@@ -24,11 +25,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from .linalg import check_matrix, sample_mean, short_sum, sym_eigen
-
-# Eigenvalues this far below zero (relative to the largest) are floating-point
-# noise and are clamped to 0; anything more negative indicates a broken input.
-_EIGENVALUE_CLAMP = 1e-12
+from .linalg import RANK_TOL, check_matrix, sample_mean, short_sum, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def fit_pca(data) -> PcaModel:
     eig = sym_eigen(cov)  # sym_eigen symmetrises
 
     lam = eig.eigenvalues.tolist()  # descending: the last is the least
-    floor = -_EIGENVALUE_CLAMP * max(1.0, lam[0])
+    floor = -RANK_TOL * max(1.0, lam[0])
     if lam[-1] < floor:
         raise InvalidInputError(f"covariance produced eigenvalue {lam[-1]:.3e} below clamp range")
     clamped = np.array([0.0 if x <= 0.0 else x for x in lam])  # as np.clip: -0.0 becomes 0.0
@@ -124,7 +121,7 @@ def whiten(model: PcaModel, data, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     _check_k(model, k, x)
     _check_whiten_count(x.shape[0], k)
     lam = model.eigenvalues.tolist()
-    cutoff = _EIGENVALUE_CLAMP * max(lam[0], 0.0)
+    cutoff = RANK_TOL * max(lam[0], 0.0)
     bad = next((i for i in range(k) if lam[i] <= cutoff), None)
     if bad is not None:
         raise DegenerateComponentError(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dsp import SignalMatrix
 from .errors import InvalidInputError
-from .linalg import check_matrix, check_number, sym_eigen
+from .linalg import check_matrix, check_number, svd
 
 CARDIAC_DEFAULT_HZ = 1.2
 RESPIRATORY_DEFAULT_HZ = 0.25
@@ -143,18 +143,17 @@ def effective_sources(sources, correlation_injection: float) -> np.ndarray:
 def mix(sources, mixing, seed, rate_hz: float = 1000.0, noise_sigma: float = 0.0) -> SignalMatrix:
     """Combine source columns into channels: sources @ mixing^T + noise.
 
-    mixing is (channels x sources) with full column rank; the noise is iid
-    Gaussian with noise_sigma, drawn from the given seed.
+    mixing is (channels x sources) with full column rank, as svd rules it;
+    the noise is iid Gaussian with noise_sigma, drawn from the given seed.
     """
     s = check_matrix(sources, "sources")
     a = check_matrix(mixing, "mixing")
     if a.shape[1] > a.shape[0]:
         raise InvalidInputError(f"mixing needs at least as many channels as sources, got {a.shape}")
-    sv = np.sqrt(np.clip(sym_eigen(a.T @ a).eigenvalues, 0, None))
-    if sv[-1] <= 1e-6 * sv[0]:
-        raise InvalidInputError(
-            f"mixing matrix is rank deficient: singular values {sv[0]:.3e} to {sv[-1]:.3e}"
-        )
+    try:
+        svd(a)  # the one rank rule, linalg.RANK_TOL
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"mixing {exc}") from None
     check_number(noise_sigma, "noise_sigma", at_least=0, below=math.inf)
     if a.shape[1] != s.shape[1]:
         raise InvalidInputError(f"mixing expects {a.shape[1]} sources, got {s.shape[1]}")

@@ -292,7 +292,9 @@ class TestRunCommand:
         (("--frame-len", "40", "--mode", "ica_only"),
          "frame_len 40 decimated by 10 leaves 4 samples per frame, "
          "fewer than the 5 that whitening 4 components needs"),
-    ], ids=["tol", "frame-len", "seed", "frame-len-ica-only"])
+        (("--cutoff-hz", "1e-7"), "cutoff 1e-07 Hz at rate 100.0 Hz is too close to 0 or to "
+                                  "Nyquist for a double-precision biquad"),
+    ], ids=["tol", "frame-len", "seed", "frame-len-ica-only", "cutoff-near-0"])
     def test_unworkable_config_exits_1(self, tmp_path, capsys, flags, message):
         mixture_path, _ = synth_files(tmp_path)
         capsys.readouterr()
@@ -381,7 +383,12 @@ class TestRunCommand:
         ({"frame_len": 5000.0}, "frame_len must be an integer, got 5000.0"),
         ({"cutoff_hz": "40"}, "cutoff_hz must be a real number, got '40'"),
         ({"ica": {"max_iterations": 200.0}}, "max_iterations must be an integer, got 200.0"),
-    ], ids=["frame_len-float", "cutoff_hz-str", "ica.max_iterations-float"])
+        ([], "config file must be a JSON object"),
+        ({"ica": 5}, "config section 'ica' must be a JSON object"),
+        ({"filter_position": "sideways"}, "filter_position must be one of"),
+        ({"mode": "ica"}, "mode must be one of"),
+    ], ids=["frame_len-float", "cutoff_hz-str", "ica.max_iterations-float", "top-list",
+            "ica-int", "filter_position-outside", "mode-outside"])
     def test_wrong_config_type_rejected(self, tmp_path, capsys, file_config, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(file_config))
@@ -446,6 +453,18 @@ class TestEvalCommand:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["assignment"] == [[0, 1], [1, 0]]
+
+    def test_time_column_alone_exits_1(self, tmp_path, capsys):
+        x = np.random.default_rng(0).standard_normal((500, 2))
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        write_csv(SignalMatrix(np.arange(500.0)[:, None] / 100.0, 100.0, ("time_s",)), a)
+        write_csv(SignalMatrix(x, 100.0), b)
+        code = run_cli("eval", "--components", str(a), "--truth", str(b))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "must have at least one row and column, got (500, 0)" in captured.err
+        assert captured.out == ""
 
     def test_truth_rate_mismatch_exits_1(self, tmp_path, capsys):
         x = np.random.default_rng(0).standard_normal((500, 2))

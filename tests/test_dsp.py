@@ -1,4 +1,6 @@
 """Tests for framing, decimation, and the Butterworth low-pass stage."""
+import math
+import re
 import warnings
 
 import numpy as np
@@ -162,6 +164,13 @@ class TestButterworthDesign:
                 poles_inside = bool(np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0))
                 assert coeffs.is_stable() == poles_inside, (a1, a2)
 
+    @pytest.mark.parametrize("field,value", [("b0", math.nan), ("a1", math.inf), ("a2", -math.inf)])
+    def test_non_finite_coefficient_rejected(self, field, value):
+        coeffs = dict(b0=1.0, b1=0.0, b2=0.0, a1=0.0, a2=0.0)
+        coeffs[field] = value
+        with pytest.raises(InvalidInputError, match="biquad coefficients must be finite"):
+            BiquadCoefficients(**coeffs)
+
     @pytest.mark.parametrize("a2", [-0.9, -0.25, 0.0, 0.3, 0.999])
     def test_pole_on_unit_circle_is_unstable(self, a2):
         for a1 in (1.0 + a2, -(1.0 + a2)):  # a pole at -1 or at +1
@@ -181,6 +190,15 @@ class TestButterworthDesign:
     def test_invalid_cutoffs_rejected(self, cutoff):
         with pytest.raises(FilterDesignError):
             design_butterworth_lp2(cutoff, 100.0)
+
+    @pytest.mark.parametrize("cutoff", [1e-7, 2e-6, 500.0 - 2e-6])
+    def test_cutoff_too_close_to_0_or_nyquist_rejected(self, cutoff):
+        # the bilinear design is stable for every cutoff in (0, Nyquist), but
+        # at these ratios the rounded a1, a2 put a pole on the unit circle
+        message = (f"cutoff {cutoff} Hz at rate 1000.0 Hz is too close to 0 or to Nyquist "
+                   "for a double-precision biquad")
+        with pytest.raises(FilterDesignError, match=re.escape(message)):
+            design_butterworth_lp2(cutoff, 1000.0)
 
     @pytest.mark.parametrize("cutoff", [True, "40", None])
     def test_cutoff_that_is_not_a_number_rejected(self, cutoff):

@@ -181,6 +181,10 @@ class TestFitFastica:
         with pytest.raises(NonWhiteInputError):
             fit_fastica(x)
 
+    def test_one_row_rejected(self):
+        with pytest.raises(NonWhiteInputError, match="need at least 2 samples"):
+            fit_fastica(np.ones((1, 2)))
+
     def test_rejects_nan_in_white(self):
         white, _, _ = whitened_mixture(uniform_sources(1000, seed=19), KNOWN_MIXING)
         white[10, 1] = np.nan

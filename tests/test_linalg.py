@@ -208,6 +208,11 @@ class TestSymEigen:
         with pytest.raises(InvalidInputError):
             sym_eigen(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2))], ids=["1-D", "3-D"])
+    def test_not_2d_rejected(self, m):
+        with pytest.raises(InvalidInputError, match=f"m must be 2-D, got ndim={m.ndim}"):
+            sym_eigen(m)
+
 
 def _pipeline_sym_eigen_inputs(seed, dc):
     """Every matrix run_pipeline hands sym_eigen over two frames of the default
@@ -362,3 +367,29 @@ class TestSvd:
     def test_wide_matrix_rejected(self):
         with pytest.raises(DimensionError):
             svd(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_rank_rule_keeps_u_orthonormal(self, ratio):
+        # Y^T Y squares the condition number, so U^T U departs from I by about
+        # eps * (D[0] / D[-1])^2. svd refuses every singular-value ratio at or
+        # below 1e-6 (a Gram eigenvalue ratio at or below RANK_TOL); at the
+        # bound itself rounding decides which side a draw falls on.
+        eps = np.finfo(float).eps
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            q1 = np.linalg.qr(rng.standard_normal((1000, 4)))[0]
+            q2 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            y = (q1 * [1.0, 0.5, 0.1, ratio]) @ q2.T
+            if ratio < 1e-6:
+                with pytest.raises(InvalidInputError, match="rank deficient"):
+                    svd(y)
+                continue
+            try:
+                res = svd(y)
+            except InvalidInputError:
+                assert ratio == 1e-6
+                continue
+            cond = res.D[0] / res.D[-1]
+            assert cond < 1e6, f"seed {seed}: returned at a ratio of {1.0 / cond:.3e}"
+            dev = np.abs(res.U.T @ res.U - np.eye(4)).max()
+            assert dev <= 10.0 * eps * cond**2, f"seed {seed}: |U^T U - I| = {dev:.3e}"

@@ -220,6 +220,10 @@ class TestAmariIndex:
         with pytest.raises(DimensionError):
             amari_index(np.ones((2, 3)), np.eye(3))
 
+    def test_mismatched_inner_dimensions_rejected(self):
+        with pytest.raises(DimensionError, match=r"cannot multiply \(2, 3\) by \(2, 2\)"):
+            amari_index(np.ones((2, 3)), np.eye(2))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_hand_formula(self, seed):
         rng = np.random.default_rng(5000 + seed)

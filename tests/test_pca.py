@@ -11,7 +11,8 @@ from ebiunmix.errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from ebiunmix.linalg import svd
+from ebiunmix import pca
+from ebiunmix.linalg import SymEigen, svd
 from ebiunmix.pca import explained_variance, fit_pca, project, whiten
 from ebiunmix.synth import default_scenario
 
@@ -49,6 +50,23 @@ class TestFitPca:
         # With a third collinear channel the smallest covariance eigenvalue
         # comes out of the eigensolver near -2e-16, and fit_pca clamps it to 0.
         assert_fit_invariants(fit_pca(np.column_stack([t, 2.0 * t, 2.0 * t])))
+
+    @pytest.mark.parametrize("smallest,refused", [(-1e-12, False), (-1.01e-12, True)])
+    def test_negative_eigenvalue_floor(self, monkeypatch, rng, smallest, refused):
+        # No data found reaches the refusal: the covariance of real samples is
+        # positive semidefinite up to rounding, and its least eigenvalue came
+        # out at worst -4.3e-16 times max(1, largest) over 300 rank-deficient
+        # draws. So a stand-in eigensolver hands fit_pca a value at the floor,
+        # -RANK_TOL * max(1, largest), and one just below it.
+        def eigen(cov):
+            return SymEigen(np.array([1.0, smallest]), np.eye(2))
+
+        monkeypatch.setattr(pca, "sym_eigen", eigen)
+        if refused:
+            with pytest.raises(InvalidInputError, match="below clamp range"):
+                fit_pca(rng.standard_normal((10, 2)))
+        else:
+            assert fit_pca(rng.standard_normal((10, 2))).eigenvalues.tolist() == [1.0, 0.0]
 
     def test_isotropic_noise_has_flat_spectrum(self):
         rng = np.random.default_rng(11)
@@ -285,6 +303,11 @@ class TestExplainedVariance:
     def test_full_dimension_is_exactly_one(self, rng):
         model = fit_pca(rng.standard_normal((100, 4)))
         assert explained_variance(model, 4) == 1.0
+
+    def test_all_zero_spectrum_is_one(self):
+        model = fit_pca(np.full((10, 3), 5.0))  # constant channels: every eigenvalue is 0
+        assert model.eigenvalues.tolist() == [0.0, 0.0, 0.0]
+        assert [explained_variance(model, k) for k in (1, 2, 3)] == [1.0, 1.0, 1.0]
 
     def test_collinear_first_component(self):
         data, _ = collinear_data()

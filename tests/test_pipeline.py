@@ -278,6 +278,7 @@ class TestRunPipeline:
         ("frame_len", 5000.0), ("frame_len", True), ("decimation_factor", "10"),
         ("retained_components", 2.0), ("cutoff_hz", "40"), ("cutoff_hz", False),
         ("cutoff_hz", None), ("ica", None), ("ica", {"seed": 1}),
+        ("filter_position", "sideways"), ("mode", "ica"),  # a value outside the list
     ])
     def test_wrong_config_type_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):

@@ -137,6 +137,10 @@ class TestMix:
         with pytest.raises(InvalidInputError, match="sample_rate_hz must be a real number"):
             mix(rng.standard_normal((10, 2)), DEFAULT_MIXING, seed=0, rate_hz=rate)
 
+    def test_more_sources_than_channels_rejected(self, rng):
+        with pytest.raises(InvalidInputError, match="mixing needs at least as many channels"):
+            mix(rng.standard_normal((10, 3)), np.ones((2, 3)), seed=0)
+
     def test_source_count_mismatch_rejected(self, rng):
         with pytest.raises(InvalidInputError):
             mix(rng.standard_normal((10, 3)), DEFAULT_MIXING, seed=0)
