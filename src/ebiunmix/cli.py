@@ -8,13 +8,12 @@ filter-design print biquad coefficients and a frequency-response table
 Config precedence for `run`: command-line flags > --config JSON file >
 built-in defaults. The config file takes the keys of the report's "config"
 block (PipelineConfig fields, with IcaConfig fields under "ica"); any other
-key is an error. The ICA seed falls back to the EBI_UNMIX_SEED
-environment variable when neither flag nor config file provides one.
+key is an error. The ICA seed follows the same rule (--seed > the file's
+ica.seed > 0), and `synth` takes --seed, then 0.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -37,8 +36,6 @@ from .pipeline import (
     write_csv,
 )
 from .synth import default_scenario
-
-SEED_ENV_VAR = "EBI_UNMIX_SEED"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--contrast", choices=CONTRASTS, help="ICA contrast (default logcosh)")
     run.add_argument("--tol", type=float, help="ICA convergence tolerance in (0, 1) (default 1e-6)")
     run.add_argument("--max-iter", type=int, help="ICA iteration cap (default 200)")
-    run.add_argument("--seed", type=int, help=f"ICA seed (fallback: ${SEED_ENV_VAR}, then 0)")
+    run.add_argument("--seed", type=int, help="ICA seed (default 0)")
     run.add_argument("--mode", choices=MODES, help="pipeline mode (default pca_then_ica)")
 
     synth = sub.add_parser("synth", help="generate a synthetic mixture and its ground truth")
@@ -71,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--stem", default="ebi_synth", help="output file stem")
     synth.add_argument("--n", type=int, help="number of samples")
     synth.add_argument("--rate", type=float, help="sample rate in Hz")
-    synth.add_argument("--seed", type=int, help="generation seed")
+    synth.add_argument("--seed", type=int, help="generation seed (default 0)")
     synth.add_argument("--noise-sigma", type=float, help="channel noise sigma")
     synth.add_argument("--correlation-injection", type=float,
                        help="respiratory->cardiac amplitude modulation depth in [0,1)")
@@ -91,20 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     fd.add_argument("--points", type=int, default=25, help="response table rows")
 
     return parser
-
-
-def _resolve_seed(flag_value, file_value):
-    if flag_value is not None:
-        return int(flag_value)
-    if file_value is not None:
-        return file_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InvalidInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _given(**flags) -> dict:
@@ -132,8 +115,8 @@ def _build_config(args) -> PipelineConfig:
     top = _known_keys(file_cfg, PipelineConfig, "file")
     ica = _known_keys(top.pop("ica", {}), IcaConfig, "section 'ica'")
 
-    ica.update(_given(contrast=args.contrast, max_iterations=args.max_iter, tolerance=args.tol))
-    ica["seed"] = _resolve_seed(args.seed, ica.get("seed"))
+    ica.update(_given(contrast=args.contrast, max_iterations=args.max_iter, tolerance=args.tol,
+                      seed=args.seed))
     top.update(_given(
         frame_len=args.frame_len,
         decimation_factor=args.decimate,
@@ -152,10 +135,14 @@ def _with_time_column(signal: SignalMatrix) -> SignalMatrix:
     )
 
 
-def _drop_time_column(signal: SignalMatrix) -> SignalMatrix:
+def _read_without_time(path, flag: str) -> SignalMatrix:
+    """The CSV at path without its time_s column; refuses a file with no other column."""
+    signal = read_csv(path)
     if "time_s" not in signal.channel_labels:
         return signal
     keep = [i for i, lab in enumerate(signal.channel_labels) if lab != "time_s"]
+    if not keep:
+        raise InvalidInputError(f"{flag} file {path} holds no signal column besides time_s")
     return SignalMatrix._derived(signal.samples[:, keep], signal.sample_rate_hz,
                                  tuple(signal.channel_labels[i] for i in keep))
 
@@ -205,8 +192,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    mixture, truth = default_scenario(seed=_resolve_seed(args.seed, None), **_given(
-        n=args.n, rate_hz=args.rate, noise_sigma=args.noise_sigma,
+    mixture, truth = default_scenario(**_given(
+        n=args.n, rate_hz=args.rate, seed=args.seed, noise_sigma=args.noise_sigma,
         correlation_injection=args.correlation_injection,
         cardiac_hz=args.cardiac_hz, jitter_pct=args.jitter_pct,
         resp_hz=args.resp_hz, harmonics=args.harmonics,
@@ -224,8 +211,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    components = _drop_time_column(read_csv(args.components))
-    truth = _drop_time_column(read_csv(args.truth))
+    components = _read_without_time(args.components, "--components")
+    truth = _read_without_time(args.truth, "--truth")
     if truth.sample_rate_hz != components.sample_rate_hz:
         raise InvalidInputError(
             f"truth is sampled at {truth.sample_rate_hz} Hz, "

@@ -174,15 +174,15 @@ def default_scenario(
     jitter_pct: float = 2.0,
     resp_hz: float = RESPIRATORY_DEFAULT_HZ,
     harmonics: int = 3,
-    mixing=None,
 ) -> tuple[SignalMatrix, SignalMatrix]:
     """Generate a four-channel mixture plus its ground-truth source pair.
 
     cardiac_hz and jitter_pct go to gen_cardiac, resp_hz and harmonics to
-    gen_respiratory; mixing defaults to DEFAULT_MIXING.
+    gen_respiratory; the sources are mixed with DEFAULT_MIXING (mix takes any
+    other matrix).
 
     Returns:
-        (mixture, truth): mixture has one channel per mixing row; truth holds
+        (mixture, truth): mixture has one channel per DEFAULT_MIXING row; truth holds
         the two sources exactly as mixed (so a perfect unmixer scores
         correlation 1 against it), labeled "cardiac" and "respiratory".
     """
@@ -192,6 +192,7 @@ def default_scenario(
         gen_cardiac(n, rate_hz, seed_cardiac, fundamental_hz=cardiac_hz, jitter_pct=jitter_pct),
         gen_respiratory(n, rate_hz, seed_resp, fundamental_hz=resp_hz, harmonics=harmonics),
     ]), correlation_injection)
-    mixture = mix(sources, DEFAULT_MIXING if mixing is None else mixing, seed_noise, rate_hz,
-                  noise_sigma)
-    return mixture, SignalMatrix(sources, rate_hz, ("cardiac", "respiratory"))
+    mixture = mix(sources, DEFAULT_MIXING, seed_noise, rate_hz, noise_sigma)
+    # mix has checked sources and the rate; the truth is that array, not a copy
+    return mixture, SignalMatrix._derived(sources, mixture.sample_rate_hz,
+                                          ("cardiac", "respiratory"))
