@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import SignalMatrix, design_butterworth_lp2, frequency_response
-from .errors import InvalidInputError
+from .errors import DimensionError, InvalidInputError
 from .fastica import CONTRASTS, IcaConfig
 from .linalg import check_number
 from .metrics import match_components
@@ -213,6 +213,9 @@ def _cmd_synth(args) -> int:
 def _cmd_eval(args) -> int:
     components = _read_without_time(args.components, "--components")
     truth = _read_without_time(args.truth, "--truth")
+    if components.n_samples != truth.n_samples:
+        raise DimensionError(f"--components file {args.components} has {components.n_samples} "
+                             f"rows, --truth file {args.truth} has {truth.n_samples}")
     if truth.sample_rate_hz != components.sample_rate_hz:
         raise InvalidInputError(
             f"truth is sampled at {truth.sample_rate_hz} Hz, "

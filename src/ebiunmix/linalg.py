@@ -16,9 +16,7 @@ matching. It keeps numpy's bits. On finite values, elementwise arithmetic,
 sqrt, abs, max and a stable sort round or choose alike; a sum is the one
 place the two differ. numpy's sum along a contiguous axis adds up to 7 terms
 in order, which Python's sum repeats, and from 8 terms on sums pairwise
-with 8 accumulators, so short_sum hands 8 or more terms to np.sum. The
-Frobenius norm stays with numpy, as its BLAS dot product sets the summation
-order.
+with 8 accumulators, so short_sum hands 8 or more terms to np.sum.
 
 The SVD is computed through the p x p Gram matrix rather than
 bidiagonalization, which is both simpler and faster when n >> p; it needs
@@ -146,9 +144,8 @@ def sym_eigen(m) -> SymEigen:
     zeroes it: A <- J^T A J on columns and rows i, j, and V <- V J.
     Sweeps stop once every off-diagonal magnitude is at most
     JACOBI_OFF_DIAG_TOL times the Frobenius norm of the input, with a hard
-    cap of JACOBI_MAX_SWEEPS sweeps. Where the sum of squares overflows
-    (entries above ~1e154), the norm is max|m| * ||m / max|m|||_F. All but
-    that norm runs on lists of Python floats (see the module docstring).
+    cap of JACOBI_MAX_SWEEPS sweeps. It runs on lists of Python floats (see
+    the module docstring), the norm included: math.hypot of the entries.
 
     Raises:
         InvalidInputError: non-square or asymmetric input.
@@ -165,12 +162,7 @@ def sym_eigen(m) -> SymEigen:
         raise InvalidInputError("matrix is not symmetric within tolerance")
 
     a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-    with np.errstate(over="ignore"):  # the squares overflow once entries pass ~1e154
-        sym = np.array(a)
-        norm = float(np.linalg.norm(sym))
-        if norm == math.inf:  # scale is max|m| here
-            norm = scale * float(np.linalg.norm(sym / scale))
-    thresh = JACOBI_OFF_DIAG_TOL * norm
+    thresh = JACOBI_OFF_DIAG_TOL * math.hypot(*(x for row in a for x in row))
     v = np.eye(p).tolist()
     for sweeps in range(JACOBI_MAX_SWEEPS + 1):
         off = max((abs(a[i][j]) for i, j in upper), default=0.0)
@@ -190,11 +182,7 @@ def sym_eigen(m) -> SymEigen:
             t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
             c = 1.0 / math.hypot(t, 1.0)
             s = t * c
-            for row in a:  # columns i, j: A <- A J
-                x, y = row[i], row[j]
-                row[i] = x * c - y * s
-                row[j] = x * s + y * c
-            for row in v:  # V <- V J
+            for row in a + v:  # columns i, j: A <- A J and V <- V J
                 x, y = row[i], row[j]
                 row[i] = x * c - y * s
                 row[j] = x * s + y * c

@@ -7,8 +7,8 @@ frame's first sample, so a DC baseline does not enter the zero-state filter
 as a step. When ground-truth sources are supplied they are framed and
 decimated identically and each frame's components are scored against them.
 
-A cutoff that the rate the filter runs at cannot realise, or a decimated frame
-too short for PCA or for whitening, fails the whole run once, before framing.
+A cutoff the filter's rate cannot realise, a signal shorter than one frame, or
+a decimated frame too short for PCA or whitening fails the run before framing.
 
 A stage failure inside one frame (any of the package's ValueError or
 RuntimeError family) is recorded in the report (stage name plus message) and
@@ -50,7 +50,7 @@ from .dsp import (
     design_butterworth_lp2,
     frame_signal,
 )
-from .errors import CsvFormatError, DimensionError, InvalidInputError
+from .errors import CsvFormatError, DimensionError, InsufficientDataError, InvalidInputError
 from .fastica import IcaConfig, fit_fastica, separate
 from .linalg import check_number
 from .metrics import match_components
@@ -161,9 +161,10 @@ def run_pipeline(
             different number of samples.
         FilterDesignError: the cutoff is not below the Nyquist frequency of
             the rate the filter runs at.
-        InsufficientDataError: a decimated frame has fewer samples than
-            fit_pca needs, max(channels, 2), or, where the mode whitens k
-            components, than whiten needs, k + 1.
+        InsufficientDataError: the signal is shorter than one frame, or a
+            decimated frame has fewer samples than fit_pca needs,
+            max(channels, 2), or, where the mode whitens k components, than
+            whiten needs, k + 1.
         InvalidInputError: truth is sampled at a different rate than signal.
     """
     _preflight(signal, config, truth)
@@ -177,18 +178,12 @@ def run_pipeline(
 
     frames = frame_signal(signal, config.frame_len)
     unprocessed = signal.n_samples - len(frames) * config.frame_len
-    if not frames:
-        report.warnings.append(
-            f"frame_len {config.frame_len} exceeds signal length {signal.n_samples}; nothing to do"
-        )
-    elif unprocessed:
+    if unprocessed:
         report.warnings.append(
             f"the last {unprocessed} of {signal.n_samples} samples fill no whole frame of "
             f"{config.frame_len} and were not processed"
         )
-    truth_frames: list[SignalMatrix | None] = [None] * len(frames)
-    if truth is not None:
-        truth_frames = frame_signal(truth, config.frame_len)
+    truth_frames = [None] * len(frames) if truth is None else frame_signal(truth, config.frame_len)
 
     components = []
     for idx, frame in enumerate(frames):
@@ -211,6 +206,9 @@ def _preflight(signal: SignalMatrix, config: PipelineConfig, truth: SignalMatrix
     _check_sample_count(n, signal.n_channels, counted)
     if config.mode != "pca_only":
         _check_whiten_count(n, k, counted)
+    if config.frame_len > signal.n_samples:
+        raise InsufficientDataError(f"frame_len {config.frame_len} exceeds the signal's "
+                                    f"{signal.n_samples} samples; no whole frame to process")
     if truth is None:
         return
     if truth.n_samples != signal.n_samples:

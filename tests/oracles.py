@@ -8,7 +8,8 @@ outputs from the difference equation one sample at a time (and, for a
 bit-for-bit check, block by block with a carry loop over whole blocks),
 spectra straight from the FFT, CSV text one formatted row at a time, ICA
 component signs one column at a time, component matching one correlation
-pair at a time, polar factors by plain Newton-Schulz iteration.
+pair at a time, polar factors by plain Newton-Schulz iteration, the best
+linear unmixer by least squares.
 
 fastica_reference, canonicalize_reference, correlations_reference,
 match_components_reference, amari_reference, sym_eigen_reference and
@@ -271,9 +272,10 @@ def match_components_reference(estimated, truth):
 
 def sym_eigen_reference(m, tol=1e-12):
     """sym_eigen with its set-up and order in numpy: symmetrised as
-    0.5 (m + m^T), columns picked by a stable argsort of the negated diagonal
-    and signed by a vectorised argmax, the rotations on Python floats as in
-    sym_eigen. Returns (eigenvalues, eigenvectors)."""
+    0.5 (m + m^T), the stopping norm by np.linalg.norm (rescaled where its
+    squares overflow), columns picked by a stable argsort of the negated
+    diagonal and signed by a vectorised argmax, the rotations on Python
+    floats as in sym_eigen. Returns (eigenvalues, eigenvectors)."""
     a = np.asarray(m, dtype=float)
     p = a.shape[0]
     scale = max(1.0, float(np.abs(a).max()))
@@ -392,6 +394,16 @@ def pair_correlation(x, y):
     xm = x - x.mean()
     ym = y - y.mean()
     return float(np.clip((xm @ ym) / np.sqrt((xm @ xm) * (ym @ ym)), -1.0, 1.0))
+
+
+def ls_ceiling(processed, truth):
+    """The best any linear unmixer of the processed channels can do: for each
+    truth column, |rho| between it and its least-squares fit on the
+    processed channels plus a constant."""
+    design = np.column_stack([processed, np.ones(len(processed))])
+    coef = np.linalg.lstsq(design, truth, rcond=None)[0]
+    fit = design @ coef
+    return [abs(pair_correlation(fit[:, j], truth[:, j])) for j in range(truth.shape[1])]
 
 
 def match_components_loops(estimated, truth):

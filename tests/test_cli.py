@@ -282,7 +282,10 @@ class TestRunCommand:
          "fewer than the 5 that whitening 4 components needs"),
         (("--cutoff-hz", "1e-7"), "cutoff 1e-07 Hz at rate 100.0 Hz is too close to 0 or to "
                                   "Nyquist for a double-precision biquad"),
-    ], ids=["tol", "frame-len", "seed", "frame-len-ica-only", "cutoff-near-0"])
+        (("--frame-len", "30000"),
+         "frame_len 30000 exceeds the signal's 25000 samples; no whole frame to process"),
+    ], ids=["tol", "frame-len", "seed", "frame-len-ica-only", "cutoff-near-0",
+            "frame-len-over-signal"])
     def test_unworkable_config_exits_1(self, tmp_path, capsys, flags, message):
         mixture_path, _ = synth_files(tmp_path)
         capsys.readouterr()
@@ -447,6 +450,19 @@ class TestEvalCommand:
             message = f"error: {flag} file {time_only} holds no signal column besides time_s"
             assert message in captured.err
             assert captured.out == ""
+
+    def test_row_count_mismatch_names_both_files(self, tmp_path, capsys):
+        x = np.random.default_rng(0).standard_normal((3, 2))
+        components = tmp_path / "c.csv"
+        truth = tmp_path / "t.csv"
+        write_csv(SignalMatrix(x, 100.0), components)
+        write_csv(SignalMatrix(x[:2], 100.0), truth)
+        code = run_cli("eval", "--components", str(components), "--truth", str(truth))
+        assert code == 1
+        captured = capsys.readouterr()
+        message = f"error: --components file {components} has 3 rows, --truth file {truth} has 2"
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_truth_rate_mismatch_exits_1(self, tmp_path, capsys):
         x = np.random.default_rng(0).standard_normal((500, 2))

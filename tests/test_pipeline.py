@@ -321,18 +321,18 @@ class TestRunPipeline:
                 refused = True
             assert {r.stage in ("pca", "whiten") for r in results} == {refused}, decimated_len
 
-    def test_short_signal_warns_and_produces_nothing(self):
-        sig = SignalMatrix(np.zeros((10, 4)), 1000.0)
-        components, report = run_pipeline(sig, PipelineConfig())
-        assert components == []
-        assert report.frames == []
-        assert len(report.warnings) == 1
-        assert "frame_len 10000 exceeds signal length 10" in report.warnings[0]
+    @pytest.mark.parametrize("n", [10, 9999])
+    def test_signal_shorter_than_a_frame_rejected(self, n):
+        sig = SignalMatrix(np.zeros((n, 4)), 1000.0)
+        message = f"frame_len 10000 exceeds the signal's {n} samples; no whole frame to process"
+        with pytest.raises(InsufficientDataError, match=re.escape(message)):
+            run_pipeline(sig, PipelineConfig())
 
     @pytest.mark.parametrize("n,warnings", [
         (20000, []),
         (20001, ["the last 1 of 20001 samples fill no whole frame of 10000 and were not processed"]),
         (29999, ["the last 9999 of 29999 samples fill no whole frame of 10000 and were not processed"]),
+        (10000, []),
     ])
     def test_unprocessed_tail_warns(self, n, warnings):
         mixture, _ = default_scenario(n=n, seed=0)

@@ -8,6 +8,7 @@ import pytest
 from ebiunmix.errors import InvalidInputError
 from ebiunmix.pipeline import PipelineConfig, run_pipeline
 from ebiunmix.synth import (
+    _MIX_BLOCK,
     DEFAULT_MIXING,
     default_scenario,
     effective_sources,
@@ -101,6 +102,13 @@ class TestMix:
         out = mix(sources, DEFAULT_MIXING, seed=0)
         recovered = out.samples @ np.linalg.pinv(DEFAULT_MIXING).T
         assert np.abs(recovered - sources).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [1, _MIX_BLOCK - 1, _MIX_BLOCK, _MIX_BLOCK + 1, 200_000])
+    def test_product_in_row_blocks_is_bit_equal_to_whole(self, rng, n):
+        sources = rng.standard_normal((n, 2))
+        mixing = np.asarray(DEFAULT_MIXING)
+        out = mix(sources, mixing, seed=0)
+        assert out.samples.tobytes() == (sources @ mixing.T).tobytes()
 
     def test_correlation_injection_measurable(self):
         _, truth = default_scenario(n=25000, seed=7, correlation_injection=0.3, noise_sigma=0.0)
