@@ -148,7 +148,8 @@ def sym_eigen(m) -> SymEigen:
     the module docstring), the norm included: math.hypot of the entries.
 
     Raises:
-        InvalidInputError: non-square or asymmetric input.
+        InvalidInputError: non-square or asymmetric input, or a Frobenius
+            norm past the largest float, where no rotation would run.
         JacobiConvergenceError: threshold not reached within the sweep cap.
     """
     a = check_matrix(m, "m")
@@ -162,7 +163,10 @@ def sym_eigen(m) -> SymEigen:
         raise InvalidInputError("matrix is not symmetric within tolerance")
 
     a = [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, zip(*rows))]
-    thresh = JACOBI_OFF_DIAG_TOL * math.hypot(*(x for row in a for x in row))
+    norm = math.hypot(*(x for row in a for x in row))
+    if norm == math.inf:  # the symmetrised entries or their norm overflow
+        raise InvalidInputError("matrix is too large: its Frobenius norm overflows a float")
+    thresh = JACOBI_OFF_DIAG_TOL * norm
     v = np.eye(p).tolist()
     for sweeps in range(JACOBI_MAX_SWEEPS + 1):
         off = max((abs(a[i][j]) for i, j in upper), default=0.0)

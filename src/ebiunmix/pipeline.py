@@ -209,14 +209,19 @@ def _preflight(signal: SignalMatrix, config: PipelineConfig, truth: SignalMatrix
     if config.frame_len > signal.n_samples:
         raise InsufficientDataError(f"frame_len {config.frame_len} exceeds the signal's "
                                     f"{signal.n_samples} samples; no whole frame to process")
-    if truth is None:
-        return
+    if truth is not None:
+        _check_pair(truth, signal, "truth", "signal")
+
+
+def _check_pair(truth: SignalMatrix, signal: SignalMatrix, truth_name, signal_name) -> None:
+    """The rule for scoring against a truth, whose refusals name both sides: as
+    many samples as the signal (else DimensionError), at its rate (else InvalidInputError)."""
     if truth.n_samples != signal.n_samples:
-        raise DimensionError(f"truth has {truth.n_samples} samples, signal has {signal.n_samples}")
+        raise DimensionError(f"{truth_name} has {truth.n_samples} samples, "
+                             f"{signal_name} has {signal.n_samples}")
     if truth.sample_rate_hz != signal.sample_rate_hz:
-        raise InvalidInputError(
-            f"truth is sampled at {truth.sample_rate_hz} Hz, signal at {signal.sample_rate_hz} Hz"
-        )
+        raise InvalidInputError(f"{truth_name} is sampled at {truth.sample_rate_hz} Hz, "
+                                f"{signal_name} at {signal.sample_rate_hz} Hz")
 
 
 def process_frame(

@@ -1,14 +1,17 @@
 """Tests for the ebi-unmix command line interface."""
+import inspect
 import io
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from ebiunmix import pipeline
-from ebiunmix.cli import _write_periodogram, main
+from ebiunmix import cli, pipeline
+from ebiunmix.cli import _build_config, _write_periodogram, build_parser, main
 from ebiunmix.dsp import SignalMatrix
-from ebiunmix.pipeline import _WRITE_BLOCK, read_csv, write_csv
+from ebiunmix.fastica import IcaConfig
+from ebiunmix.pipeline import _WRITE_BLOCK, PipelineConfig, read_csv, write_csv
 from ebiunmix.synth import default_scenario
 
 from oracles import csv_text, periodogram
@@ -36,16 +39,38 @@ class TestSynthCommand:
         assert truth.channel_labels == ("cardiac", "respiratory")
         assert mixture.sample_rate_hz == 1000.0
 
+    FLAGS = {  # flag: (the default_scenario parameter it sets, a value other than the default)
+        "--n": ("n", 3000),
+        "--rate": ("rate_hz", 500.0),
+        "--seed": ("seed", 4),
+        "--noise-sigma": ("noise_sigma", 0.1),
+        "--correlation-injection": ("correlation_injection", 0.2),
+        "--cardiac-hz": ("cardiac_hz", 1.5),
+        "--jitter-pct": ("jitter_pct", 5.0),
+        "--resp-hz": ("resp_hz", 0.3),
+        "--harmonics": ("harmonics", 2),
+    }
+
     def test_source_flags_match_default_scenario(self, tmp_path):
-        mixture_path, truth_path = synth_files(tmp_path, seed="4", extra=(
-            "--cardiac-hz", "1.5", "--jitter-pct", "5", "--resp-hz", "0.3", "--harmonics", "2",
-        ))
-        mixture, truth = default_scenario(
-            n=25000, seed=4, cardiac_hz=1.5, jitter_pct=5.0, resp_hz=0.3, harmonics=2
-        )
-        for expected, path in ((mixture, mixture_path), (truth, truth_path)):
-            write_csv(expected, tmp_path / "expected.csv")
-            assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        # one flag per parameter, each setting the parameter its dest names
+        assert {name for name, _ in self.FLAGS.values()} == set(
+            inspect.signature(default_scenario).parameters)
+        argv = [str(a) for flag, (_, value) in self.FLAGS.items() for a in (flag, value)]
+        assert run_cli("synth", "--out-dir", str(tmp_path), "--stem", "s", *argv) == 0
+        expected = default_scenario(**dict(self.FLAGS.values()))
+        for signal, name in zip(expected, ("s_mixture.csv", "s_truth.csv")):
+            write_csv(signal, tmp_path / "expected.csv")
+            assert (tmp_path / name).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_flags_reach_a_wrapped_default_scenario(self, tmp_path, monkeypatch):
+        # a wrapper that takes (*args, **kwargs), as a tracer's does, still gets every flag
+        run_cli("synth", "--out-dir", str(tmp_path / "plain"), "--n", "3000", "--rate", "500")
+        monkeypatch.setattr(cli, "default_scenario", lambda *a, **kw: default_scenario(*a, **kw))
+        run_cli("synth", "--out-dir", str(tmp_path / "wrapped"), "--n", "3000", "--rate", "500")
+        for name in ("ebi_synth_mixture.csv", "ebi_synth_truth.csv"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "wrapped" / name).read_bytes() == plain
+            assert b"# rate_hz=500.0" in plain
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         assert run_cli("synth", "--out-dir", str(tmp_path), "--n", "1000", "--seed", "-1") == 1
@@ -334,6 +359,16 @@ class TestRunCommand:
         assert report["config"]["ica"]["tolerance"] == 1e-5
         assert report["n_frames"] == 2
 
+    def test_config_with_byte_order_mark_builds_the_same_config(self, tmp_path):
+        text = json.dumps({"frame_len": 5000, "ica": {"seed": 3}})
+        (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.json").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain, bom = (_build_config(build_parser().parse_args(
+            ["run", "--input", "unread.csv", "--config", str(tmp_path / name)]))
+            for name in ("plain.json", "bom.json"))
+        assert bom == plain == PipelineConfig(frame_len=5000, ica=IcaConfig(seed=3))
+
     def test_report_config_fed_back_rebuilds_same_config(self, tmp_path):
         mixture_path, _ = synth_files(tmp_path)
         first = tmp_path / "first"
@@ -460,7 +495,7 @@ class TestEvalCommand:
         code = run_cli("eval", "--components", str(components), "--truth", str(truth))
         assert code == 1
         captured = capsys.readouterr()
-        message = f"error: --components file {components} has 3 rows, --truth file {truth} has 2"
+        message = f"error: --truth file {truth} has 2 samples, --components file {components} has 3"
         assert message in captured.err
         assert captured.out == ""
 
@@ -473,8 +508,75 @@ class TestEvalCommand:
         code = run_cli("eval", "--components", str(a), "--truth", str(b))
         assert code == 1
         captured = capsys.readouterr()
-        assert "error: truth is sampled at 1000.0 Hz, components at 100.0 Hz" in captured.err
+        message = (f"error: --truth file {b} is sampled at 1000.0 Hz, "
+                   f"--components file {a} at 100.0 Hz")
+        assert message in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("samples,rate,message", [
+    (3000, 1000.0, "{truth} has 3000 samples, {signal} has 2000"),
+    (2000, 500.0, "{truth} is sampled at 500.0 Hz, {signal} at 1000.0 Hz"),
+], ids=["samples", "rate"])
+def test_truth_pairing_refusal_names_both_sides(tmp_path, capsys, command, samples, rate,
+                                                message):
+    # run --truth and eval pair a truth with its signal by one rule; run names
+    # the two sides as run_pipeline does, eval by its two files
+    x = np.random.default_rng(0).standard_normal((3000, 4))
+    signal, truth = tmp_path / "signal.csv", tmp_path / "truth.csv"
+    write_csv(SignalMatrix(x[:2000], 1000.0), signal)
+    write_csv(SignalMatrix(x[:samples, :2], rate), truth)
+    if command == "run":
+        argv = ("run", "--input", signal, "--truth", truth, "--frame-len", "1000",
+                "--out-dir", tmp_path / "out")
+        sides = {"truth": "truth", "signal": "signal"}
+    else:
+        argv = ("eval", "--components", signal, "--truth", truth)
+        sides = {"truth": f"--truth file {truth}", "signal": f"--components file {signal}"}
+    assert run_cli(*map(str, argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(**sides)}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+class TestRunFlags:
+    """Each run flag sets the config field its dest names, and only that."""
+
+    FLAGS = {  # flag: (the field it sets, a value other than the default)
+        "--frame-len": ("frame_len", 5000),
+        "--decimate": ("decimation_factor", 5),
+        "--cutoff-hz": ("cutoff_hz", 30.0),
+        "--filter-position": ("filter_position", "before_decimate"),
+        "--components": ("retained_components", 3),
+        "--mode": ("mode", "ica_only"),
+        "--contrast": ("contrast", "pow3"),
+        "--max-iter": ("max_iterations", 50),
+        "--tol": ("tolerance", 1e-4),
+        "--seed": ("seed", 6),
+    }
+
+    def test_every_config_field_has_its_flag(self):
+        names = {name for name, _ in self.FLAGS.values()}
+        assert names == {f.name for f in fields(PipelineConfig) if f.name != "ica"} | {
+            f.name for f in fields(IcaConfig)}
+
+    @pytest.mark.parametrize("flag", list(FLAGS))
+    def test_run_flag_sets_its_field(self, flag):
+        name, value = self.FLAGS[flag]
+        config = _build_config(build_parser().parse_args(
+            ["run", "--input", "unread.csv", flag, str(value)]))
+        built, default = self._values(config), self._values(PipelineConfig())
+        assert built[name] == value
+        assert {key for key in default if built[key] != default[key]} == {name}
+
+    @staticmethod
+    def _values(config):
+        """The fields of config and of its IcaConfig, by name."""
+        values = asdict(config)
+        values.update(values.pop("ica"))
+        return values
 
 
 class TestFilterDesignCommand:

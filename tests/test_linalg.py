@@ -192,6 +192,15 @@ class TestSymEigen:
         expected = np.linalg.eigvalsh(m)[::-1]
         assert np.abs(eig.eigenvalues - expected).max() <= 1e-13 * abs(3.0 * gain)
 
+    @pytest.mark.parametrize("m", [[[6e307] * 3] * 3, [[1e308, 1e308], [1e308, -1e308]]],
+                             ids=["norm-overflows", "entries-overflow"])
+    def test_norm_past_the_largest_float_rejected(self, m):
+        # eigvalsh puts the first's largest eigenvalue at inf; the second's are
+        # +-1.41e308, but the norm is 2e308. At an infinite stopping threshold
+        # no rotation would run, and the diagonal would come back as the spectrum.
+        with pytest.raises(InvalidInputError, match="Frobenius norm overflows"):
+            sym_eigen(m)
+
     @pytest.mark.parametrize("cap", [0, 1, 2])
     def test_sweep_cap_reported(self, monkeypatch, cap):
         monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", cap)
