@@ -166,8 +166,8 @@ def _write_periodogram(signal: SignalMatrix, path) -> None:
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    signal = read_csv(args.input)
-    truth = read_csv(args.truth) if args.truth else None
+    signal = _read_without_time(args.input, "--input")
+    truth = _read_without_time(args.truth, "--truth") if args.truth else None
 
     _preflight(signal, config, truth)
     out_dir = Path(args.out_dir)  # made once the run is not refused, before any frame runs
@@ -218,7 +218,7 @@ def _cmd_eval(args) -> int:
     truth = _read_without_time(args.truth, "--truth")
     _check_pair(truth, components, f"--truth file {args.truth}",
                 f"--components file {args.components}")
-    report = match_components(components.samples, truth.samples)
+    report = match_components(components, truth)
     payload = asdict(report)
     payload["estimated_labels"] = list(components.channel_labels)
     payload["truth_labels"] = list(truth.channel_labels)

@@ -5,9 +5,12 @@ with a sample rate and channel labels. All operations are pure; frames may
 be processed concurrently by the caller.
 
 Caller input is validated and copied once, when a SignalMatrix is built from
-it. A stage output is not checked again: framing and decimation return
-read-only views of their read-only input, and the filter a fresh array that
-is marked read-only. The filter alone tests its output for non-finite
+it. That is the package's one rule for sample data, stated by _samples and
+read through it by the pca, fastica and metrics stages: a SignalMatrix is
+taken as checked when it was built, any other array goes through
+check_matrix. A stage output is not checked again: framing and decimation
+return read-only views of their read-only input, and the filter a fresh
+array that is marked read-only. The filter alone tests its output for non-finite
 entries: it can overflow a finite input, and it carries through any inf or
 NaN of the pipeline's first-sample subtraction, which runs just before it.
 
@@ -129,6 +132,11 @@ class BiquadCoefficients:
 
     def dc_gain(self) -> float:
         return (self.b0 + self.b1 + self.b2) / (1.0 + self.a1 + self.a2)
+
+
+def _samples(data, name: str) -> np.ndarray:
+    """A SignalMatrix's samples, checked when it was built; any other data by check_matrix."""
+    return data.samples if isinstance(data, SignalMatrix) else check_matrix(data, name)
 
 
 def frame_signal(signal: SignalMatrix, frame_len: int) -> list[SignalMatrix]:

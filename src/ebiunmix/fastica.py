@@ -40,6 +40,10 @@ docstring has the rule): the whiteness deviation, each step's delta
 max|1 - |<w+, w>||, whose k-term dot products go through linalg.short_sum
 (numpy's pairwise sum from 8 terms on), and the canonical order, skew test
 and sign flips, taken from the k moments of the unpermuted components.
+
+fit_fastica and separate take white by dsp's one rule for sample data
+(dsp._samples): a SignalMatrix as checked when it was built, any other
+array through check_matrix. The dewhitening matrix is always checked.
 """
 
 import math
@@ -47,6 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dsp import _samples
 from .errors import DimensionError, InvalidInputError, NonWhiteInputError
 from .linalg import check_matrix, check_number, sample_mean, short_sum, sym_eigen
 
@@ -197,7 +202,8 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
     """Estimate the unmixing matrix of whitened data by fixed-point iteration.
 
     Args:
-        white: (n x k) matrix with identity sample covariance (checked).
+        white: SignalMatrix or (n x k) array with identity sample covariance
+            (checked).
         config: contrast, tolerance, iteration cap, seed.
         dewhitening: optional (k x p) transform back to channel space; when
             given, the model's mixing_estimate is expressed in that space.
@@ -208,7 +214,7 @@ def fit_fastica(white, config: IcaConfig = IcaConfig(), dewhitening=None) -> Ica
     finite: it returns None) ends the iteration early the same way, with the
     last orthonormal W.
     """
-    x = check_matrix(white, "white")
+    x = _samples(white, "white")
     _check_white(x)
     n, k = x.shape
 
@@ -263,7 +269,7 @@ def _canonicalize(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def separate(model: IcaModel, white) -> np.ndarray:
     """Independent components S = white @ W^T (rows = samples)."""
-    x = check_matrix(white, "white")
+    x = _samples(white, "white")
     k = model.n_components
     if x.shape[1] != k:
         raise DimensionError(f"white has {x.shape[1]} columns, unmixing expects {k}")

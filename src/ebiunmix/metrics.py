@@ -10,7 +10,15 @@ into a number.
 One numpy Gram product of the centred columns gives every correlation; from
 there the k x m correlations, the assignment search, the leakage and the
 Amari index run on Python floats, with numpy's bits (the linalg module
-docstring has the rule, and its limit at 8 terms of a sum).
+docstring has the rule, and its limit at 8 terms of a sum). A correlation
+does not depend on the scale of either side: where the product of two sums
+of squares under- or overflows, its root is taken factor by factor, and a
+Gram matrix that itself overflows is refused, as is an Amari product w @ a
+that overflows.
+
+match_components takes both sides by dsp's one rule for sample data
+(dsp._samples): a SignalMatrix as checked when it was built, any other
+array through check_matrix; amari_index checks its two matrices.
 """
 
 import itertools
@@ -19,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import _samples
 from .errors import DimensionError, InvalidInputError, UndefinedCorrelationError
 from .linalg import check_matrix, sample_mean, short_sum
 
@@ -46,15 +55,26 @@ def _correlations(x: np.ndarray, y: np.ndarray) -> list:
     if x.shape[0] < 2:
         raise InvalidInputError("correlation needs at least 2 samples")
     z = np.concatenate((x, y), axis=1)
-    z -= sample_mean(z)
-    gram = (z.T @ z).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        z -= sample_mean(z)
+        gram = z.T @ z
+    if not np.isfinite(gram).all():
+        raise InvalidInputError("correlation out of range: the sums of squares and cross "
+                                "products of the centred columns overflow a float")
+    gram = gram.tolist()
     ss = [row[i] for i, row in enumerate(gram)]
     if not all(ss):
         raise UndefinedCorrelationError("correlation undefined for zero-variance input")
     k = x.shape[1]
-    # below ~1e-323 the product underflows to 0, where numpy divided by zero
-    return [[min(max(g / (math.sqrt(si * sj) or math.sqrt(si) * math.sqrt(sj)), -1.0), 1.0)
+    return [[min(max(g / _root_product(si, sj), -1.0), 1.0)
              for g, sj in zip(row[k:], ss[k:])] for row, si in zip(gram, ss[:k])]
+
+
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a b) of two positive floats; sqrt(a) sqrt(b) where a b under- or
+    overflows (past ~1e-323 or ~1.8e308), so scale leaves the correlation alone."""
+    ab = a * b
+    return math.sqrt(ab) if 0.0 < ab < math.inf else math.sqrt(a) * math.sqrt(b)
 
 
 def _amari_of(p: list) -> float:
@@ -63,8 +83,6 @@ def _amari_of(p: list) -> float:
     cols = list(zip(*p))
     if not all(map(any, p)) or not all(map(any, cols)):
         raise InvalidInputError("performance matrix has an all-zero row or column")
-    if any(math.isnan(x) for row in p for x in row):
-        return math.nan  # as numpy's NaN-propagating max and sums give
     # numpy's bits: a row sums as np.sum does, a column in row order
     rows = short_sum([short_sum(row) / max(row) - 1.0 for row in p])
     columns = short_sum([sum(col) / max(col) - 1.0 for col in cols])
@@ -80,9 +98,12 @@ def amari_index(w, a) -> float:
     a = check_matrix(a, "a")
     if w.shape[1] != a.shape[0]:
         raise DimensionError(f"cannot multiply {w.shape} by {a.shape}")
-    p = w @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        p = w @ a
     if p.shape[0] != p.shape[1]:
         raise DimensionError(f"performance matrix must be square, got {p.shape}")
+    if not np.isfinite(p).all():
+        raise InvalidInputError("performance matrix w @ a overflows a float")
     return _amari_of(p.tolist())
 
 
@@ -94,7 +115,7 @@ def match_components(estimated, truth) -> SeparationReport:
     computed on the correlation matrix restricted to the matched components
     (a signed permutation there means perfect separation).
     """
-    corr = _correlations(check_matrix(estimated, "estimated"), check_matrix(truth, "truth"))
+    corr = _correlations(_samples(estimated, "estimated"), _samples(truth, "truth"))
     k_est, k_true = len(corr), len(corr[0])
 
     # Search over the shorter side, then name each pair (estimated, true).

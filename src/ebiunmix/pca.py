@@ -12,20 +12,24 @@ goes to x.mean(axis=0) itself, whose sum is pairwise there. The
 eigenvalue clamp and whiten's near-zero test (both at linalg.RANK_TOL, the
 one numerical-rank rule) and explained_variance's sums run on Python floats
 with numpy's bits (see the linalg module docstring).
+
+fit_pca, project and whiten take their data by dsp's one rule for sample
+data (dsp._samples): a SignalMatrix as checked when it was built, any other
+array through check_matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import SignalMatrix
+from .dsp import _samples
 from .errors import (
     DegenerateComponentError,
     DimensionError,
     InsufficientDataError,
     InvalidInputError,
 )
-from .linalg import RANK_TOL, check_matrix, sample_mean, short_sum, sym_eigen
+from .linalg import RANK_TOL, sample_mean, short_sum, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,6 @@ class PcaModel:
     @property
     def n_channels(self) -> int:
         return self.loadings.shape[0]
-
-
-def _samples(data) -> np.ndarray:
-    if isinstance(data, SignalMatrix):
-        return data.samples
-    return check_matrix(data, "data")
 
 
 def _check_k(model: PcaModel, k: int, x: np.ndarray | None = None) -> None:
@@ -80,7 +78,7 @@ def _check_whiten_count(n: int, k: int, counted: str = "{} samples") -> None:
 def fit_pca(data) -> PcaModel:
     """Fit principal components from the sample covariance of `data`, a
     SignalMatrix or (n x p) array with n >= max(p, 2)."""
-    x = _samples(data)
+    x = _samples(data, "data")
     n, p = x.shape
     _check_sample_count(n, p)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails sym_eigen's check
@@ -99,7 +97,7 @@ def fit_pca(data) -> PcaModel:
 
 def project(model: PcaModel, data, k: int) -> np.ndarray:
     """Scores on the first k components: (data - means) @ loadings[:, :k]."""
-    x = _samples(data)
+    x = _samples(data, "data")
     _check_k(model, k, x)
     return (x - model.means) @ model.loadings[:, :k]
 
@@ -117,7 +115,7 @@ def whiten(model: PcaModel, data, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
             identity covariance in k dimensions.
         DegenerateComponentError: a retained eigenvalue is numerically zero.
     """
-    x = _samples(data)
+    x = _samples(data, "data")
     _check_k(model, k, x)
     _check_whiten_count(x.shape[0], k)
     lam = model.eigenvalues.tolist()

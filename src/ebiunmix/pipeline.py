@@ -250,11 +250,13 @@ def process_frame(
         result.retained = k
         result.explained_variance = explained_variance(model, k)
 
+        rate, labels = processed.sample_rate_hz, tuple(f"pc{i + 1}" for i in range(k))
         if config.mode == "pca_only":
-            samples, prefix = project(model, processed, k), "pc"
+            samples = project(model, processed, k)
         else:
             stage = "whiten"
             white, _, dewhitening = whiten(model, processed, k)
+            white = SignalMatrix._derived(white, rate, labels)  # the whitened PC scores
 
             stage = "ica"
             ica_config = replace(config.ica, seed=config.ica.seed + frame_index)
@@ -263,14 +265,13 @@ def process_frame(
             result.A_est = ica.mixing_estimate.tolist()
             result.convergence = dict(vars(ica.convergence))
 
-            samples, prefix = separate(ica, white), "ic"
-        labels = tuple(f"{prefix}{i + 1}" for i in range(k))
-        out = SignalMatrix._derived(samples, processed.sample_rate_hz, labels)
+            samples, labels = separate(ica, white), tuple(f"ic{i + 1}" for i in range(k))
+        out = SignalMatrix._derived(samples, rate, labels)
 
         if truth_frame is not None:
             stage = "match"
             truth = decimate(truth_frame, config.decimation_factor)
-            result.matching = dict(vars(match_components(out.samples, truth.samples)))
+            result.matching = dict(vars(match_components(out, truth)))
     except (ValueError, RuntimeError) as exc:  # the package's error family
         result.stage = stage
         result.error = f"{type(exc).__name__}: {exc}"

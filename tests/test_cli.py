@@ -428,6 +428,48 @@ class TestRunCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRunTimeColumn:
+    """run drops a time_s column from --input and --truth, as eval does."""
+
+    @staticmethod
+    def _run(mixture_path, truth_path, out):
+        argv = ["run", "--input", str(mixture_path), "--out-dir", str(out), "--seed", "0"]
+        assert run_cli(*argv, *(["--truth", str(truth_path)] if truth_path else [])) == 0
+        return json.loads((out / "demo_mixture_report.json").read_text())["frames"]
+
+    def test_truth_time_column_gives_the_same_matching(self, tmp_path):
+        mixture_path, truth_path = synth_files(tmp_path)
+        timed = tmp_path / "timed_truth.csv"
+        write_csv(cli._with_time_column(read_csv(truth_path)), timed)
+        plain = self._run(mixture_path, truth_path, tmp_path / "plain")
+        with_time = self._run(mixture_path, timed, tmp_path / "timed")
+        assert [f["matching"] for f in with_time] == [f["matching"] for f in plain]
+        assert plain[0]["matching"]["assignment"] == [[0, 1], [1, 0]]
+
+    def test_input_time_column_gives_byte_identical_components(self, tmp_path):
+        mixture_path, _ = synth_files(tmp_path)
+        timed = tmp_path / "timed" / "demo_mixture.csv"
+        timed.parent.mkdir()
+        write_csv(cli._with_time_column(read_csv(mixture_path)), timed)
+        self._run(mixture_path, None, tmp_path / "plain")
+        frames = self._run(timed, None, tmp_path / "timed" / "out")
+        assert [f["retained"] for f in frames] == [2, 2]
+        for k in range(2):
+            for kind in ("components", "periodogram"):
+                name = f"demo_mixture_f{k}_{kind}.csv"
+                assert ((tmp_path / "timed" / "out" / name).read_bytes()
+                        == (tmp_path / "plain" / name).read_bytes())
+
+    def test_input_with_only_time_exits_1(self, tmp_path, capsys):
+        time_only = tmp_path / "time.csv"
+        write_csv(SignalMatrix(np.arange(500.0)[:, None] / 100.0, 100.0, ("time_s",)), time_only)
+        code = run_cli("run", "--input", str(time_only), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --input file {time_only} holds no signal column besides time_s\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvalCommand:
     def test_eval_components_against_truth(self, tmp_path):
         mixture_path, truth_path = synth_files(tmp_path)

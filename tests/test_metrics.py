@@ -1,12 +1,9 @@
 """Tests for correlation, component matching, and the Amari index."""
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ebiunmix import metrics
 from ebiunmix.errors import DimensionError, InvalidInputError, UndefinedCorrelationError
 from ebiunmix.metrics import amari_index, match_components
 
@@ -203,6 +200,41 @@ class TestMatchesNumpyForm:
         assert np.abs(np.subtract(tiny.correlations, report.correlations)).max() <= 1e-12
 
 
+class TestScale:
+    """Scaling either side by a power of ten leaves the matching as it was, up
+    to where the sums of squares overflow; past that it is refused."""
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(31)
+        truth = rng.standard_normal((1000, 2))
+        estimated = truth @ np.array([[0.9, 0.3], [-0.2, 0.8]]) + 0.2 * rng.standard_normal((1000, 2))
+        return estimated, truth
+
+    @given(k_est=st.integers(-150, 150), k_true=st.integers(-150, 150))
+    @example(k_est=76, k_true=76)  # the product of the sums of squares overflows
+    @example(k_est=150, k_true=150)
+    @example(k_est=-150, k_true=-150)  # and underflows
+    @example(k_est=150, k_true=-150)
+    def test_matching_scale_invariant(self, k_est, k_true):
+        estimated, truth = self._pair()
+        report = match_components(estimated, truth)
+        scaled = match_components(estimated * 10.0**k_est, truth * 10.0**k_true)
+        assert scaled.assignment == report.assignment
+        assert np.abs(np.subtract(scaled.correlations, report.correlations)).max() <= 1e-12
+        assert np.abs(np.subtract(scaled.leakage, report.leakage)).max() <= 1e-12
+
+    def test_self_correlation_past_the_product_overflow(self, rng):
+        x = rng.standard_normal((1000, 2)) * 1e76
+        assert match_components(x, x).correlations == (1.0, 1.0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e307])  # the Gram, then the sum
+    def test_gram_overflow_rejected(self, rng, scale):
+        x = rng.standard_normal((1000, 2))
+        with pytest.raises(InvalidInputError, match="overflow a float"):
+            match_components(x * scale, x)
+
+
 class TestAmariIndex:
     def test_perfect_unmixing(self, rng):
         a = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
@@ -239,13 +271,10 @@ class TestAmariIndex:
         transformed = scale * p[rng.permutation(3)][:, rng.permutation(3)]
         assert amari_index(transformed, np.eye(3)) == pytest.approx(base, abs=1e-10)
 
-    def test_nan_entry_gives_nan(self):
-        # numpy's maxima propagate NaN, so a row of 0 and NaN is not all zero
-        # (a NaN correlation comes from sums of squares that overflow)
-        p = [[0.0, math.nan], [1.0, 1.0]]
-        with np.errstate(invalid="ignore"):
-            assert math.isnan(amari_reference(np.array(p)))
-        assert math.isnan(metrics._amari_of(p))
+    def test_overflowing_product_rejected(self):
+        # numpy's product is inf, with an overflow warning; its index would be NaN
+        with pytest.raises(InvalidInputError, match=r"performance matrix w @ a overflows a float"):
+            amari_index(np.eye(2) * 1e200, np.eye(2) * 1e200)
 
     def test_zero_exactly_for_scaled_permutation(self, rng):
         # per-component sign/scale ambiguity must not register as error

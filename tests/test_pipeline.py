@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ebiunmix import fastica, pipeline
+from ebiunmix import cli, dsp, fastica, linalg, metrics, pca, pipeline, synth
 from ebiunmix.dsp import SignalMatrix, decimate, frame_signal
 from ebiunmix.errors import (
     CsvFormatError,
@@ -412,6 +412,72 @@ class TestFromFirstSample:
         assert np.isfinite(np.delete(out.samples, 20, axis=0)).all()
         assert comp is None and result.stage == "preprocess"
         assert result.error == "InvalidInputError: samples contains non-finite entries"
+
+
+class TestValidatedOnce:
+    """The stages take a SignalMatrix's samples as checked when it was built,
+    and still check every other array a caller passes."""
+
+    @pytest.mark.parametrize("mode", ["pca_then_ica", "ica_only"])
+    def test_three_check_matrix_scans_per_frame(self, monkeypatch, mode):
+        # the k x p dewhitening, the PCA covariance and FastICA's random start
+        mixture, truth = default_scenario(n=10000, seed=5)
+        names, check_matrix = [], linalg.check_matrix
+
+        def counted(data, name="matrix"):
+            names.append(name)
+            return check_matrix(data, name)
+
+        for module in (cli, dsp, fastica, linalg, metrics, pca, pipeline, synth):
+            if "check_matrix" in vars(module):
+                monkeypatch.setattr(module, "check_matrix", counted)
+        _, result = process_frame(mixture, PipelineConfig(mode=mode), 0, truth)
+        assert result.ok and result.matching is not None
+        assert sorted(names) == ["dewhitening", "m", "m"]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _frame():
+        """(white, ica, truth) of one frame, white and truth as SignalMatrix values."""
+        mixture, truth = default_scenario(n=10000, seed=5)
+        config = PipelineConfig()
+        processed = pipeline._preprocess(mixture, config)
+        white, _, _ = pca.whiten(pca.fit_pca(processed), processed, 2)
+        white = SignalMatrix(white, processed.sample_rate_hz)
+        return white, fastica.fit_fastica(white), decimate(truth, config.decimation_factor)
+
+    @staticmethod
+    def _run(stage, white, ica, truth):
+        """stage's result on white (and truth), as bytes or the report's repr."""
+        if stage == "fit_fastica":
+            model = fastica.fit_fastica(white, IcaConfig(seed=3))
+            return model.unmixing.tobytes(), model.mixing_estimate.tobytes(), model.convergence
+        if stage == "separate":
+            return fastica.separate(ica, white).tobytes()
+        return repr(metrics.match_components(white, truth))
+
+    @pytest.mark.parametrize("stage", ["fit_fastica", "separate", "match_components"])
+    def test_signal_matrix_and_its_samples_give_equal_bits(self, stage):
+        white, ica, truth = self._frame()
+        expected = self._run(stage, white, ica, truth)
+        assert self._run(stage, white.samples, ica, truth.samples) == expected
+
+    @pytest.mark.parametrize("bad,message", [(np.nan, "contains non-finite entries"),
+                                             (1j, "is complex")], ids=["nan", "complex"])
+    @pytest.mark.parametrize("stage,argument", [("fit_fastica", "white"), ("separate", "white"),
+                                                ("match_components", "estimated"),
+                                                ("match_components", "truth")])
+    def test_bad_array_refused(self, stage, argument, bad, message):
+        white, ica, truth = self._frame()
+        x, y = white.samples, truth.samples
+        spoiled = (y if argument == "truth" else x) + 0 * bad  # complex for 1j
+        spoiled[3, 1] = bad
+        if argument == "truth":
+            y = spoiled
+        else:
+            x = spoiled
+        with pytest.raises(InvalidInputError, match=f"^{argument} {message}"):
+            self._run(stage, x, ica, y)
 
 
 class TestDeterminismAndFrameIndependence:
