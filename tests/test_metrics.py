@@ -271,10 +271,12 @@ class TestAmariIndex:
         transformed = scale * p[rng.permutation(3)][:, rng.permutation(3)]
         assert amari_index(transformed, np.eye(3)) == pytest.approx(base, abs=1e-10)
 
-    def test_overflowing_product_rejected(self):
-        # numpy's product is inf, with an overflow warning; its index would be NaN
-        with pytest.raises(InvalidInputError, match=r"performance matrix w @ a overflows a float"):
-            amari_index(np.eye(2) * 1e200, np.eye(2) * 1e200)
+    @pytest.mark.parametrize("scale", [2.0**-664, 2.0**664], ids=["1e-200", "1e200"])
+    def test_index_out_of_float_range_equals_the_unscaled(self, rng, scale):
+        # w @ a underflows to zero or overflows to inf at about 1e-400 or 1e400;
+        # scaling by a power of two is exact, so the index keeps its bits
+        w, a = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        assert amari_index(w * scale, a * scale) == amari_index(w, a)
 
     def test_zero_exactly_for_scaled_permutation(self, rng):
         # per-component sign/scale ambiguity must not register as error

@@ -8,17 +8,27 @@ against truth (for the degenerate rows in pca_then_ica only). The
 correlated-source rows run default_scenario's correlation_injection and hold
 each source's |rho| against the least-squares ceiling of any linear unmixer;
 the model-violation rows (a delayed cardiac, a contact-drift third source) do
-the same for the cardiac at 2 and 3 retained components. A change that moves
-a row states it in CHANGES.md.
+the same for the cardiac at 2 and 3 retained components. Four degenerate rows
+also run through `ebi-unmix run --truth` from CSV files, which pins the exit
+code next to the failed frames. A change that moves a row states it in
+CHANGES.md.
 """
 import collections
 import functools
+import json
 
 import numpy as np
 import pytest
 
+from ebiunmix.cli import main
 from ebiunmix.dsp import decimate, frame_signal
-from ebiunmix.pipeline import FILTER_POSITIONS, PipelineConfig, _preprocess, run_pipeline
+from ebiunmix.pipeline import (
+    FILTER_POSITIONS,
+    PipelineConfig,
+    _preprocess,
+    run_pipeline,
+    write_csv,
+)
 from ebiunmix.synth import default_scenario
 
 from oracles import ls_ceiling, pair_correlation
@@ -65,22 +75,56 @@ EXPECTED = {
 }
 
 
+def _failed_groups(stage_errors) -> dict:
+    """The failed frames counted by stage and exception type, from the
+    (stage, error) pair of every frame."""
+    return dict(collections.Counter(
+        f"{stage}/{error.split(':')[0]}" for stage, error in stage_errors if error is not None))
+
+
 @pytest.mark.parametrize("mode", ["ica_only", "pca_then_ica"])
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
 def test_degenerate_input_outcome(scenario, mode):
     mixture, truth = SCENARIOS[scenario](SEED, N)
     _, report = run_pipeline(mixture, PipelineConfig(mode=mode), truth)
     assert len(report.frames) == 6
-    failed = collections.Counter(
-        f"{frame.stage}/{frame.error.split(':')[0]}" for frame in report.frames if not frame.ok
-    )
+    failed = _failed_groups((frame.stage, frame.error) for frame in report.frames)
     ica_only_failed, least_rho = EXPECTED[scenario]
     if mode == "ica_only":
-        assert dict(failed) == ica_only_failed
+        assert failed == ica_only_failed
     else:
         assert not failed
         rho = min(abs(r) for frame in report.frames for r in frame.matching["correlations"])
         assert rho == pytest.approx(least_rho, abs=1e-4)
+
+
+# scenario: the exit code of `ebi-unmix run --truth` in (ica_only, pca_then_ica).
+# An exit of 2 is the library row's defect at the command line: ica_only fails
+# frames on a channel at 1e4 or 1e5 times the gain, and on a dead channel, frame
+# by frame instead of once up front.
+EXPECTED_EXIT = {
+    "col1x1e4": (0, 0),
+    "col0x1e4": (2, 0),
+    "col0x1e5": (2, 0),
+    "dead-zeros": (2, 0),
+}
+
+
+@pytest.mark.parametrize("scenario", list(EXPECTED_EXIT))
+def test_cli_exit_class(scenario, tmp_path):
+    mixture, truth = SCENARIOS[scenario](SEED, N)
+    write_csv(mixture, tmp_path / "mixture.csv")
+    write_csv(truth, tmp_path / "truth.csv")
+    ica_only_failed, _ = EXPECTED[scenario]
+    for mode, code, expected_failed in zip(("ica_only", "pca_then_ica"), EXPECTED_EXIT[scenario],
+                                           (ica_only_failed, {})):
+        out = tmp_path / mode
+        assert main(["run", "--input", str(tmp_path / "mixture.csv"),
+                     "--truth", str(tmp_path / "truth.csv"),
+                     "--mode", mode, "--out-dir", str(out)]) == code
+        frames = json.loads((out / "mixture_report.json").read_text())["frames"]
+        assert len(frames) == 6
+        assert _failed_groups((frame["stage"], frame["error"]) for frame in frames) == expected_failed
 
 
 REAL_SHAPED = {
