@@ -14,8 +14,8 @@ docstring has the rule, and its limit at 8 terms of a sum). A correlation
 does not depend on the scale of either side: where the product of two sums
 of squares under- or overflows, its root is taken factor by factor, and a
 Gram matrix that itself overflows is refused. Nor does the Amari index: an
-Amari product w @ a that under- or overflows is formed again from w and a
-scaled by powers of two.
+Amari product w @ a that under- or overflows, or may have lost bits to
+underflow, is formed again from w and a scaled by powers of two.
 
 match_components takes both sides by dsp's one rule for sample data
 (dsp._samples): a SignalMatrix as checked when it was built, any other
@@ -90,6 +90,11 @@ def _amari_of(p: list) -> float:
     return (rows + columns) / (2.0 * len(p))
 
 
+# Below this largest |w @ a|, 2**53 times the smallest normal float, a term of
+# the product may have lost bits to underflow: a subnormal holds fewer than 53.
+_UNDERFLOW_RISK = 2.0**-969
+
+
 def _unit_scaled(m: np.ndarray) -> np.ndarray:
     """m times the power of two that brings its largest magnitude into [0.5, 1)."""
     return np.ldexp(m, -math.frexp(float(np.abs(m).max()))[1])
@@ -99,7 +104,8 @@ def amari_index(w, a) -> float:
     """Amari performance index of P = w @ a; 0 means perfect separation.
 
     Invariant under row/column permutation and nonzero scaling of P. Where
-    w @ a has a non-finite entry or an all-zero row or column, P is formed
+    w @ a has a non-finite entry or an all-zero row or column, or its largest
+    magnitude is below 2**-969, where a term may have underflowed, P is formed
     again from w and a, each scaled by a power of two to a largest magnitude
     in [0.5, 1): exact scaling, so the index is the same, and no entry of
     that product exceeds the inner dimension. A P that is still all-zero in
@@ -113,7 +119,8 @@ def amari_index(w, a) -> float:
         p = w @ a
     if p.shape[0] != p.shape[1]:
         raise DimensionError(f"performance matrix must be square, got {p.shape}")
-    if not (np.isfinite(p).all() and p.any(axis=0).all() and p.any(axis=1).all()):
+    if not (np.isfinite(p).all() and p.any(axis=0).all() and p.any(axis=1).all()
+            and np.abs(p).max() >= _UNDERFLOW_RISK):
         p = _unit_scaled(w) @ _unit_scaled(a)
     return _amari_of(p.tolist())
 

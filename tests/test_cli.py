@@ -3,15 +3,18 @@ import inspect
 import io
 import json
 from dataclasses import asdict, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ebiunmix import cli, pipeline
 from ebiunmix.cli import _build_config, _write_periodogram, build_parser, main
 from ebiunmix.dsp import SignalMatrix
 from ebiunmix.fastica import IcaConfig
-from ebiunmix.pipeline import _WRITE_BLOCK, PipelineConfig, read_csv, write_csv
+from ebiunmix.pipeline import _WRITE_BLOCK, PipelineConfig, _csv_rows, read_csv, write_csv
 from ebiunmix.synth import default_scenario
 
 from oracles import csv_text, periodogram
@@ -176,6 +179,90 @@ class TestWriterBlocks:
         assert table.shape[0] == rows
         header = ",".join(("freq_hz",) + sig.channel_labels) + "\n"
         assert path.read_bytes() == (header + savetxt_text(table)).encode("utf-8")
+
+
+def per_cell_text(x):
+    """The rows of x as per-cell %.17g texts, joined by commas, as bytes."""
+    return csv_text([], x).encode("utf-8")
+
+
+def below_power_of_ten(k):
+    """The largest float below 10**k."""
+    power, nearest = Fraction(10) ** k, float(Fraction(10) ** k)
+    return nearest if Fraction(nearest) < power else float(np.nextafter(nearest, 0.0))
+
+
+# The positive floats in the kernel's fast range, 1e-6 < x < 1e17, are one run
+# of bit patterns; with the sign bit set, so are the negative ones.
+FAST_BITS = tuple(np.array([np.nextafter(1e-6, 1.0), np.nextafter(1e17, 0.0)])
+                  .view(np.uint64).tolist())
+
+
+class TestWriterKernel:
+    """_csv_rows, the writers' block kernel, gives the bytes of per-cell %.17g
+    for every float: exact digits in the fast range, %.17g outside it."""
+
+    @pytest.mark.parametrize("p", [1, 5])
+    @given(bits=st.lists(st.one_of(
+        st.integers(0, 2**64 - 1),  # every float64, nan, inf, subnormals and -0.0 among them
+        st.integers(*FAST_BITS),
+        st.integers(*FAST_BITS).map(lambda b: b + 2**63),
+    ), min_size=5, max_size=200))
+    def test_float64_bit_patterns(self, p, bits):
+        x = np.array(bits[:len(bits) // p * p], np.uint64).view(np.float64).reshape(-1, p)
+        assert _csv_rows(x) == per_cell_text(x)
+
+    def test_ulps_around_powers_of_ten(self):
+        # where floor(log10 |x|) may miss by one: 3 ulps each side of 1e-7 .. 1e18
+        powers = np.array([float(f"1e{k}") for k in range(-7, 19)])
+        x = powers[:, None]
+        for _ in range(3):
+            x = np.column_stack([np.nextafter(x[:, 0], 0.0), x, np.nextafter(x[:, -1], np.inf)])
+        for block in (x, -x, x.reshape(-1, 1)):
+            assert _csv_rows(block) == per_cell_text(block)
+
+    def test_edges_of_the_fast_range(self):
+        # 1e-6 itself (just below 10**-6) and 1e17 take %.17g, their inner neighbours the kernel
+        x = np.array([[1e-6, np.nextafter(1e-6, 1.0), np.nextafter(1e17, 0.0), 1e17]])
+        assert _csv_rows(x) == b"9.9999999999999995e-07,1.0000000000000002e-06," \
+                               b"99999999999999984,1e+17\n"
+        assert _csv_rows(-x) == per_cell_text(-x)
+
+    def test_exact_ties_round_half_to_even(self, rng):
+        # M / 4 with M odd and |x| near 1e15: x * 10 ends in 5, a tie at the 17th digit
+        quarters = (rng.integers(4 * 10**15, 36 * 10**15, 4096) | 1) / 4.0
+        # and one row per exponent E = -6 .. 15: q / 2**(17 - E), q odd, is exact
+        # with 18 digits, the last a 5
+        rows = []
+        for e in range(-6, 16):
+            first = -(-Fraction(10) ** e * 2 ** (17 - e) // 1) | 1
+            row = [float(q / Fraction(2) ** (17 - e)) for q in range(first, first + 10, 2)]
+            assert all(Fraction(v) * Fraction(10) ** (17 - e) % 10 == 5 for v in row)
+            rows.append(row)
+        for x in (quarters.reshape(-1, 4), np.array(rows), -np.array(rows)):
+            assert _csv_rows(x) == per_cell_text(x)
+
+    def test_no_float_in_the_fast_range_rounds_up_to_a_power_of_ten(self):
+        # 17 digits keep the largest float below each 10**k, k = -5 .. 17, below it,
+        # so the kernel needs no carry into the next exponent; the floats that
+        # do carry, such as 1e-14 and 1e98, lie outside the range
+        below = np.array([[below_power_of_ten(k) for k in range(-5, 18)]])
+        assert all(text.lstrip(b"0.").startswith(b"9") for text in _csv_rows(below).split(b","))
+        assert _csv_rows(below) == per_cell_text(below)
+        carry = np.array([[below_power_of_ten(-14), below_power_of_ten(98)]])
+        assert _csv_rows(carry) == b"1e-14,1e+98\n"
+
+    def test_block_of_fallback_cells_only(self):
+        x = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-6, -1e-7, 1e17, -1e300,
+                      np.inf, -np.inf, np.nan, -5e-324]).reshape(3, 4)
+        assert _csv_rows(x) == per_cell_text(x)
+
+    def test_fallback_cells_on_both_sides_of_a_block_boundary(self, tmp_path, rng):
+        x = rng.standard_normal((_WRITE_BLOCK + 1, 3))
+        x[_WRITE_BLOCK - 1, -1], x[_WRITE_BLOCK, 0] = 0.0, -1e-300
+        path = tmp_path / "signal.csv"
+        write_csv(SignalMatrix(x, 250.0), path)
+        assert path.read_bytes() == b"# rate_hz=250.0\nch1,ch2,ch3\n" + per_cell_text(x)
 
 
 class TestRunCommand:

@@ -271,9 +271,11 @@ class TestAmariIndex:
         transformed = scale * p[rng.permutation(3)][:, rng.permutation(3)]
         assert amari_index(transformed, np.eye(3)) == pytest.approx(base, abs=1e-10)
 
-    @pytest.mark.parametrize("scale", [2.0**-664, 2.0**664], ids=["1e-200", "1e200"])
+    @pytest.mark.parametrize("scale", [2.0**-664, 2.0**-535, 2.0**-520, 2.0**664],
+                             ids=["1e-200", "1e-161", "1e-157", "1e200"])
     def test_index_out_of_float_range_equals_the_unscaled(self, rng, scale):
-        # w @ a underflows to zero or overflows to inf at about 1e-400 or 1e400;
+        # w @ a underflows to zero or overflows to inf at about 1e-400 or 1e400,
+        # and is subnormal, with bits lost, at about 1e-322 and 1e-313;
         # scaling by a power of two is exact, so the index keeps its bits
         w, a = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
         assert amari_index(w * scale, a * scale) == amari_index(w, a)
